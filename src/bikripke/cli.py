@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (decide: Valid; check: holds), 1 decide Invalid /
 check fails, 2 decide Unknown, 3 usage or syntax error, 4 budget exhausted,
-5 experiment assertion failure.
+5 experiment assertion failure, 6 internal error (a bug; never a verdict).
 
 Reports are plain key=value lines, byte-deterministic for fixed inputs and
 budgets except the final elapsed_ms line.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 from typing import Optional, Sequence
 
 from .errors import (
@@ -559,6 +560,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BikripkeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        traceback.print_exc()
+        return 6
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@ Grammar (whitespace insensitive)::
     atom    := "true" | "false" | IDENT | "(" formula ")"
 
 ``[]`` and ``<>`` are accepted as monomodal aliases for ``[u]`` and ``<u>``.
-Letter identifiers match ``[a-z][a-z0-9]*``.
+Letter identifiers match ``[a-z][a-z0-9]*``.  Formulas nested more than
+MAX_NESTING (100) deep are refused with FormulaSyntaxError.
 """
 
 from __future__ import annotations
@@ -180,6 +181,13 @@ Substitution = Mapping[str, Formula]
 # Parser
 # ---------------------------------------------------------------------------
 
+# The parser accepts formulas with at most this many operators on any path
+# from the root to a leaf, and at most this many parentheses, prefix
+# operators and pending '->' operands open at once.  The tree walks of the
+# package recurse once per level, so this keeps every one of them far below
+# the interpreter's recursion limit.
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<iff><->)
@@ -219,6 +227,13 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0       # prefix operands, parentheses, '->' operands
+
+    def nest(self) -> None:
+        self.open += 1
+        if self.open > MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"formula nests more than {MAX_NESTING} deep", self.tokens[self.i - 1][2])
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -250,7 +265,9 @@ class _Parser:
         f = self.or_()
         if self.peek()[0] == "imp":
             self.take()
-            return Imp(f, self.imp())
+            self.nest()
+            f = Imp(f, self.imp())
+            self.open -= 1
         return f
 
     def or_(self) -> Formula:
@@ -280,7 +297,10 @@ class _Parser:
         ctor = self._UNARY.get(kind)
         if ctor is not None:
             self.take()
-            return ctor(self.unary())
+            self.nest()
+            f = ctor(self.unary())
+            self.open -= 1
+            return f
         return self.atom()
 
     def atom(self) -> Formula:
@@ -294,18 +314,41 @@ class _Parser:
             return Atom(text)
         if kind == "lp":
             self.take()
+            self.nest()
             f = self.iff()
             if self.peek()[0] != "rp":
                 self.error({"')'"})
             self.take()
+            self.open -= 1
             return f
         self.error({"'~'", "'[u]'", "'<u>'", "'[d]'", "'<d>'",
                     "'('", "letter", "'true'", "'false'"})
 
 
 def parse(text: str) -> Formula:
-    """Parse formula text into its unique AST; raises FormulaSyntaxError."""
-    return _Parser(text).parse()
+    """Parse formula text into its unique AST; raises FormulaSyntaxError,
+    also for formulas nested deeper than MAX_NESTING."""
+    parser = _Parser(text)
+    f = parser.parse()
+    # Chains of '&', '|' and '<->' deepen the tree without parser recursion;
+    # a tree has fewer levels than tokens, so short input needs no check.
+    if len(parser.tokens) > MAX_NESTING and _depth(f) > MAX_NESTING:
+        raise FormulaSyntaxError(f"formula nests more than {MAX_NESTING} deep", 0)
+    return f
+
+
+def _depth(f: Formula) -> int:
+    deepest = 0
+    stack = [(f, 0)]
+    while stack:
+        g, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(g, (Not, Box, Dia)):
+            stack.append((g.sub, d + 1))
+        elif isinstance(g, _Binary):
+            stack.append((g.left, d + 1))
+            stack.append((g.right, d + 1))
+    return deepest
 
 
 # ---------------------------------------------------------------------------

@@ -279,9 +279,11 @@ def make_frame(n: int, edges: list[tuple[int, int]],
     bad = close - {"reflexive", "transitive"}
     if bad:
         raise ValueError(f"unknown closure(s): {sorted(bad)}")
-    masks = [0] * n
     if n < 1:
         raise BadWorldIndex("a frame needs at least one world")
+    if n > WORLD_BUDGET:
+        raise BudgetExceeded(f"{n} worlds exceeds budget {WORLD_BUDGET}")
+    masks = [0] * n
     for i, j in edges:
         if not 0 <= i < n or not 0 <= j < n:
             raise BadWorldIndex(f"edge ({i},{j}) out of range for {n} worlds")
@@ -569,6 +571,9 @@ def loads(text: str) -> Union[Frame, PointedModel]:
                 n = int(parts[1])
                 if n < 1:
                     raise FrameParseError("world count must be >= 1", lineno)
+                if n > WORLD_BUDGET:
+                    raise BudgetExceeded(
+                        f"line {lineno}: {n} worlds exceeds budget {WORLD_BUDGET}")
             elif kw == "up":
                 if n is None:
                     raise FrameParseError("'up' before 'worlds'", lineno)

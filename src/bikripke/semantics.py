@@ -289,12 +289,24 @@ class _MlContext:
             self.algebra = None
         self._dirs: dict[Direction, _DirInfo] = {}
         self._letter_vectors: dict[int, list] = {}
-        self.decide_cache: dict = {}
+        self._box_tables: dict[Direction, np.ndarray] = {}
+        self.ml_cache: dict[Formula, MlOutcome] = {}
 
     def dir_info(self, dir: Direction) -> _DirInfo:
         if dir not in self._dirs:
             self._dirs[dir] = _DirInfo(self, dir)
         return self._dirs[dir]
+
+    def box_table(self, dir: Direction) -> np.ndarray:
+        """Box along dir of every world set, indexed by its mask; frames of
+        at most 16 worlds only."""
+        table = self._box_tables.get(dir)
+        if table is None:
+            frame = self.model.frame
+            table = _box_vector(frame.masks(dir),
+                                np.arange(1 << frame.n, dtype=np.uint64))
+            self._box_tables[dir] = table
+        return table
 
 
 def _ml_context(m: PointedModel) -> _MlContext:
@@ -324,6 +336,19 @@ def _assignment_vectors(ctx: _MlContext, k: int) -> list[np.ndarray] | None:
     return vecs
 
 
+# Frames up to this many worlds compute box by a 2^n-entry gather table.
+_BOX_TABLE_WORLDS = 16
+
+
+def _box_vector(succ_masks: tuple[int, ...], x: np.ndarray) -> np.ndarray:
+    """Box of each world-set mask in x, given the successor masks."""
+    out = np.zeros(x.shape, dtype=np.uint64)
+    for w, mask in enumerate(succ_masks):
+        sm = np.uint64(mask)
+        out |= ((x & sm) == sm).astype(np.uint64) << np.uint64(w)
+    return out
+
+
 def _sweep_vectorised(ctx: _MlContext, f: Formula, letters: list[str]) -> MlOutcome:
     m = ctx.model
     n = m.frame.n
@@ -331,17 +356,14 @@ def _sweep_vectorised(ctx: _MlContext, f: Formula, letters: list[str]) -> MlOutc
     vecs = _assignment_vectors(ctx, len(letters))
     assert vecs is not None
     env = dict(zip(letters, vecs))
-    succ_up = [np.uint64(mask) for mask in m.frame.up_masks]
-    succ_down = [np.uint64(mask) for mask in m.frame.down_masks]
     memo: dict[Formula, np.ndarray] = {}
 
-    def box(succ, x):
-        out = np.zeros(x.shape, dtype=np.uint64)
-        for w in range(n):
-            sm = succ[w]
-            cond = (x & sm) == sm
-            out |= cond.astype(np.uint64) << np.uint64(w)
-        return out
+    if n <= _BOX_TABLE_WORLDS:
+        def box(dir, x):
+            return ctx.box_table(dir)[x]
+    else:
+        def box(dir, x):
+            return _box_vector(m.frame.masks(dir), x)
 
     def go(g: Formula) -> np.ndarray:
         hit = memo.get(g)
@@ -364,9 +386,9 @@ def _sweep_vectorised(ctx: _MlContext, f: Formula, letters: list[str]) -> MlOutc
         elif isinstance(g, Iff):
             out = full ^ (go(g.left) ^ go(g.right))
         elif isinstance(g, Box):
-            out = box(succ_up if g.dir is UP else succ_down, go(g.sub))
+            out = box(g.dir, go(g.sub))
         else:
-            out = full ^ box(succ_up if g.dir is UP else succ_down, full ^ go(g.sub))
+            out = full ^ box(g.dir, full ^ go(g.sub))
         memo[g] = out
         return out
 
@@ -417,11 +439,11 @@ def ml_status(m: PointedModel, f: Formula) -> MlOutcome:
     certified reasoning (class validity for membership, verified refuting
     substitutions for non-membership)."""
     ctx = _ml_context(m)
-    hit = ctx.decide_cache.get(("ml", f))
+    hit = ctx.ml_cache.get(f)
     if hit is not None:
         return hit
     out = _ml_status_uncached(ctx, f)
-    ctx.decide_cache[("ml", f)] = out
+    ctx.ml_cache[f] = out
     return out
 
 
@@ -465,7 +487,7 @@ def _positive_only(g: Formula, p: str) -> bool:
 
 
 def _ml_monomodal(ctx: _MlContext, f: Formula, d: Direction) -> MlOutcome:
-    from .theories import PL, S4, S4_2, S5, decide
+    from .theories import PL, S4, S4_2, S5, decide, is_valid
 
     m = ctx.model
     info = ctx.dir_info(d)
@@ -475,13 +497,12 @@ def _ml_monomodal(ctx: _MlContext, f: Formula, d: Direction) -> MlOutcome:
         # One reflexive world: both point-bit values of every letter are
         # realised by algebra members (full and empty), so membership is
         # exactly PL validity.
-        status = decide(PL, f, want_countermodel=False).is_valid
-        return MlOutcome(status, how="single-world cone")
-    if info.cone_cluster and _is_valid_cached(ctx, S5, f):
+        return MlOutcome(is_valid(PL, f), how="single-world cone")
+    if info.cone_cluster and is_valid(S5, f):
         return MlOutcome(True, how="S5 validity on cluster cone")
-    if info.rt and info.directed and _is_valid_cached(ctx, S4_2, f):
+    if info.rt and info.directed and is_valid(S4_2, f):
         return MlOutcome(True, how="S4.2 validity on directed frame")
-    if info.rt and _is_valid_cached(ctx, S4, f):
+    if info.rt and is_valid(S4, f):
         return MlOutcome(True, how="S4 validity")
 
     # Refutation: simulate the decider's countermodel through the certified
@@ -501,16 +522,6 @@ def _ml_monomodal(ctx: _MlContext, f: Formula, d: Direction) -> MlOutcome:
                 except (InsufficientControls, VerificationFailed):
                     pass
     return MlOutcome(None, how="unresolved")
-
-
-def _is_valid_cached(ctx: _MlContext, theory, f: Formula) -> bool:
-    from .theories import decide
-    key = (theory, f)
-    hit = ctx.decide_cache.get(key)
-    if hit is None:
-        hit = decide(theory, f, want_countermodel=False).is_valid
-        ctx.decide_cache[key] = hit
-    return hit
 
 
 def _probe_refute(ctx: _MlContext, f: Formula, letters: list[str]) -> Optional[MlOutcome]:

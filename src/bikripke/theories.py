@@ -17,6 +17,12 @@ Validity is decided semantically against each theory's finite frame class:
 Invalid verdicts carry a countermodel found by the canonical search (frame
 size ascending, edge sets lexicographic, valuations lexicographic, points
 ascending) so reported countermodels are reproducible byte for byte.
+
+Every verdict goes through one bounded verdict store keyed by the oriented
+formula, so a DOWN formula and its UP twin share one record.  A record holds
+per-theory verdict bits, filled only for the theories asked about, and the
+chain S4 ⊆ S4.2 ⊆ S5 ⊆ PL settles neighbours for free: validity carries up
+the chain, invalidity down it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MixedDirections, SEARCH_BUDGET
+from .errors import BudgetExceeded, MixedDirections, SEARCH_BUDGET
 from .formula import (
     DOWN,
     UP,
@@ -47,7 +53,6 @@ from .formula import (
     Top,
     directions,
     letters as formula_letters,
-    subformulas,
 )
 from .frame import Frame, PointedModel, cluster, single_point
 from .semantics import FragmentReport
@@ -134,7 +139,10 @@ def orient(f: Formula) -> tuple[Formula, Direction]:
     return _orient_to(f, UP), DOWN
 
 
-def _compile(f: Formula) -> tuple[list[tuple], int, list[str]]:
+_Compiled = tuple[list[tuple], int, list[str]]
+
+
+def _compile(f: Formula) -> _Compiled:
     """Postorder-deduplicated node list; returns (nodes, root index, letters).
 
     Node forms: ("atom", li) ("top",) ("bot",) ("not", i) ("and", i, j)
@@ -217,8 +225,8 @@ def _eval_nodes(nodes: list[tuple], succ: tuple[int, ...], n: int,
 # PL
 # ---------------------------------------------------------------------------
 
-def _pl_verdict(f: Formula, want_cm: bool) -> Verdict:
-    nodes, root, lets = _compile(f)
+def _pl_verdict(compiled: _Compiled, want_cm: bool) -> Verdict:
+    nodes, root, lets = compiled
     k = len(lets)
     # Boxes and diamonds collapse to their argument on a single reflexive
     # point; letter masks are single-bit.
@@ -247,22 +255,23 @@ def _pl_verdict(f: Formula, want_cm: bool) -> Verdict:
             vals.append(v)
         if not vals[root]:
             if not want_cm:
-                return Verdict(INVALID)
+                return _INVALID
             val = {lets[i]: ((assign >> i) & 1) for i in range(k)}
             cm = PointedModel(single_point(), val, 0)
             return Verdict(INVALID, countermodel=cm)
-    return Verdict(VALID)
+    return _VALID
 
 
 # ---------------------------------------------------------------------------
 # S5
 # ---------------------------------------------------------------------------
 
-def _s5_verdict(f: Formula, want_cm: bool) -> Verdict:
-    nodes, root, lets = _compile(f)
+def _s5_verdict(compiled: _Compiled, want_cm: bool) -> Verdict:
+    nodes, root, lets = compiled
     k = len(lets)
     ncolors = 1 << k
-    bound = min(len(subformulas(f)) + 1, ncolors)
+    # One node per distinct subformula, so len(nodes) == |sub(f)|.
+    bound = min(len(nodes) + 1, ncolors)
     # A universal model is determined up to duplicate worlds by its set of
     # letter profiles; sweeping color subsets in ascending lexicographic
     # order visits the canonical first countermodel of the full search.
@@ -297,33 +306,33 @@ def _s5_verdict(f: Formula, want_cm: bool) -> Verdict:
             res = vals[root]
             if res != full:
                 if not want_cm:
-                    return Verdict(INVALID)
+                    return _INVALID
                 point = (((full ^ res) & -(full ^ res)).bit_length()) - 1
                 val = {lets[li]: sum(1 << i for i, c in enumerate(colors)
                                      if (c >> li) & 1)
                        for li in range(k)}
                 cm = PointedModel(cluster(n), val, point)
                 return Verdict(INVALID, countermodel=cm)
-    return Verdict(VALID)
+    return _VALID
 
 
 # ---------------------------------------------------------------------------
 # S4 / S4.2 validity by type elimination
 # ---------------------------------------------------------------------------
 
-def _type_space(f: Formula):
+def _type_space(compiled: _Compiled):
     """All coherent truth-value assignments to the subformulas of f.
 
-    Returns (M, boxes, dias, root) where M is a bool matrix (types x nodes),
-    boxes/dias list (node index, child index) pairs.  Coherence: Boolean
-    connectives are derived; box nodes imply their child (reflexivity), and
-    a child implies its diamond.
+    Returns (M, boxes, dias, root, succ) where M is a bool matrix (types x
+    nodes), boxes/dias list (node index, child index) pairs and succ is the
+    one-step successor relation on the types (_succ_matrix).  Coherence:
+    Boolean connectives are derived; box nodes imply their child
+    (reflexivity), and a child implies its diamond.
     """
-    nodes, root, lets = _compile(f)
+    nodes, root, _ = compiled
     free = [i for i, nd in enumerate(nodes) if nd[0] in ("atom", "box", "dia")]
     b = len(free)
     if b > 22:
-        from .errors import BudgetExceeded
         raise BudgetExceeded(f"type space has 2^{b} candidate rows")
     rows = 1 << b
     bits = np.arange(rows, dtype=np.uint32)
@@ -356,7 +365,8 @@ def _type_space(f: Formula):
         ok &= ~M[:, i] | M[:, c]
     for i, c in dias:
         ok &= ~M[:, c] | M[:, i]
-    return M[ok], boxes, dias, root
+    M = M[ok]
+    return M, boxes, dias, root, _succ_matrix(M, boxes, dias)
 
 
 def _succ_matrix(M: np.ndarray, boxes, dias) -> np.ndarray:
@@ -401,17 +411,16 @@ def _eliminate(M: np.ndarray, boxes, dias, succ: np.ndarray,
             return alive
 
 
-def _s4_invalid(f: Formula) -> bool:
+def _s4_invalid(space) -> bool:
     """True iff some finite reflexive transitive model refutes f."""
-    M, boxes, dias, root = _type_space(f)
+    M, boxes, dias, root, succ = space
     if M.shape[0] == 0:
         return False
-    succ = _succ_matrix(M, boxes, dias)
     alive = _eliminate(M, boxes, dias, succ, np.ones(M.shape[0], dtype=bool))
     return bool((alive & ~M[:, root]).any())
 
 
-def _s42_invalid(f: Formula) -> bool:
+def _s42_invalid(space) -> bool:
     """True iff some finite reflexive transitive directed model refutes f.
 
     Every such model has a unique final cluster whose worlds share one modal
@@ -419,14 +428,13 @@ def _s42_invalid(f: Formula) -> bool:
     realisable pattern, with the pattern's own types as the always-available
     final cluster.
     """
-    M, boxes, dias, root = _type_space(f)
+    M, boxes, dias, root, succ = space
     if M.shape[0] == 0:
         return False
     modal_cols = [i for i, _ in boxes] + [i for i, _ in dias]
     if not modal_cols:
         return bool((~M[:, root]).any())
     patterns = np.unique(M[:, modal_cols], axis=0)
-    succ_full = _succ_matrix(M, boxes, dias)
     box_cols = [i for i, _ in boxes]
     dia_cols = [i for i, _ in dias]
     for beta in patterns:
@@ -455,7 +463,7 @@ def _s42_invalid(f: Formula) -> bool:
         for pos, i in enumerate(dia_cols):
             if beta_dia[pos]:
                 eligible &= M[:, i]
-        alive = _eliminate(M, boxes, dias, succ_full, eligible)
+        alive = _eliminate(M, boxes, dias, succ, eligible)
         if (alive & ~M[:, root]).any():
             return True
     return False
@@ -511,12 +519,12 @@ def _edge_bitmap(rows: tuple[int, ...]) -> int:
     return bitmap
 
 
-def _search_countermodel(f: Formula, directed_only: bool,
+def _search_countermodel(compiled: _Compiled, directed_only: bool,
                          budget: int) -> tuple[Optional[PointedModel], bool]:
     """Canonical search: frame size ascending, edge bitmaps lexicographic,
     valuations lexicographic (letter-major masks), points ascending.
     Returns (countermodel or None, budget_exhausted)."""
-    nodes, root, lets = _compile(f)
+    nodes, root, lets = compiled
     k = len(lets)
     used = 0
     for n in range(1, _MAX_SEARCH_WORLDS + 1):
@@ -540,6 +548,122 @@ def _search_countermodel(f: Formula, directed_only: bool,
 
 
 # ---------------------------------------------------------------------------
+# The verdict store
+# ---------------------------------------------------------------------------
+
+_VALID = Verdict(VALID)
+_INVALID = Verdict(INVALID)
+
+# S4 ⊆ S4.2 ⊆ S5 ⊆ PL as sets of valid formulas: validity carries rightwards
+# along the chain, invalidity leftwards.
+_CHAIN = (S4, S4_2, S5, PL)
+_KNOWN = {t: 1 << i for i, t in enumerate(_CHAIN)}
+_HOLDS = {t: 1 << (4 + i) for i, t in enumerate(_CHAIN)}
+_ALL = 0b1111
+
+# The deciders in the order they run, each with the theories that need it.
+# PL and S5 are cheap sweeps, and a refutation there settles everything
+# below.  S4.2 is settled, as far as it can be, by S5 (invalid there:
+# invalid) and S4 (valid there: valid) before its pattern elimination runs.
+_PLAN = ((PL, _KNOWN[PL]),
+         (S5, _KNOWN[S5] | _KNOWN[S4_2]),
+         (S4, _KNOWN[S4] | _KNOWN[S4_2]),
+         (S4_2, _KNOWN[S4_2]))
+
+# One store, keyed by oriented formulas only (a DOWN formula is filed under
+# its UP twin):
+#   g               -> int record: bit _KNOWN[t] says theory t is decided for
+#                      g, bit _HOLDS[t] that g is valid there;
+#   (g, t, budget)  -> the Verdict carrying t's canonical countermodel, or
+#                      Unknown when the search budget ran out.
+# It is emptied when a new key would take it past _STORE_LIMIT entries.
+_STORE_LIMIT = 1 << 16
+_store: dict = {}
+_hits = 0
+_misses = 0
+
+
+def verdict_store_stats() -> dict[str, int]:
+    """Counters of the verdict store: hits and misses are requests answered
+    from it and requests that had to decide something; size counts verdict
+    records plus cached countermodel verdicts; the store empties at limit."""
+    return {"hits": _hits, "misses": _misses, "size": len(_store),
+            "limit": _STORE_LIMIT}
+
+
+def _put(key, value) -> None:
+    if len(_store) >= _STORE_LIMIT and key not in _store:
+        _store.clear()
+    _store[key] = value
+
+
+def _lookup(f: Formula) -> tuple[Formula, int]:
+    """The oriented formula and its record (0 when absent)."""
+    rec = _store.get(f)
+    if rec is not None:
+        return f, rec         # only oriented formulas are keys
+    g, _ = orient(f)
+    if g is not f:
+        rec = _store.get(g)
+    return g, rec or 0
+
+
+def _learn(rec: int, t: Theory, valid: bool) -> int:
+    """rec with t's verdict and everything the chain infers from it."""
+    i = _CHAIN.index(t)
+    if valid:
+        at_or_above = _ALL >> i << i
+        return rec | at_or_above | at_or_above << 4
+    return rec | (2 << i) - 1
+
+
+def _settle(f: Formula, g: Formula, rec: int, want: int,
+            cm_theory: Optional[Theory] = None,
+            budget: int = SEARCH_BUDGET) -> tuple[int, Optional[Verdict]]:
+    """Decide the theories in the mask `want` that rec leaves open, file the
+    record under g and return it.  With cm_theory, also return (and file)
+    that theory's countermodel verdict when the formula is invalid there.
+
+    f is compiled as given: compilation erases direction, so f and its
+    orientation g compile alike.  The compiled nodes and the type space are
+    built at most once and dropped on return.
+    """
+    compiled = _compile(f)
+    space = None
+    cm: Optional[Verdict] = None
+    for t, needed_by in _PLAN:
+        if not want & needed_by or rec & _KNOWN[t]:
+            continue
+        if t is PL or t is S5:
+            v = (_pl_verdict if t is PL else _s5_verdict)(compiled, t is cm_theory)
+            if v.countermodel is not None:
+                cm = v
+            valid = v.is_valid
+        else:
+            if space is None:
+                space = _type_space(compiled)
+            valid = not (_s4_invalid if t is S4 else _s42_invalid)(space)
+        rec = _learn(rec, t, valid)
+    _put(g, rec)
+    if cm_theory is None or rec & _HOLDS[cm_theory]:
+        return rec, None
+    if cm is None:
+        if cm_theory is PL:
+            cm = _pl_verdict(compiled, True)
+        elif cm_theory is S5:
+            cm = _s5_verdict(compiled, True)
+        else:
+            found, _ = _search_countermodel(compiled, cm_theory is S4_2, budget)
+            if found is None:
+                cm = Verdict(UNKNOWN, reason="refutable, but no countermodel within "
+                             f"{_MAX_SEARCH_WORLDS} worlds / {budget} models")
+            else:
+                cm = Verdict(INVALID, countermodel=found)
+    _put((g, cm_theory, budget), cm)
+    return rec, cm
+
+
+# ---------------------------------------------------------------------------
 # decide / classify
 # ---------------------------------------------------------------------------
 
@@ -549,42 +673,30 @@ def decide(t: Theory, f: Formula, budget: int = SEARCH_BUDGET,
     class, with a canonical countermodel on Invalid.  Unknown is returned
     only when a countermodel is requested but not found within the search
     budget."""
-    return _decide_cached(t, f, budget, want_countermodel)
+    global _hits, _misses
+    g, rec = _lookup(f)
+    if rec & _KNOWN[t]:
+        if rec & _HOLDS[t]:
+            _hits += 1
+            return _VALID
+        if not want_countermodel:
+            _hits += 1
+            return _INVALID
+        hit = _store.get((g, t, budget))
+        if hit is not None:
+            _hits += 1
+            return hit
+    _misses += 1
+    rec, cm = _settle(f, g, rec, _KNOWN[t], t if want_countermodel else None,
+                      budget)
+    if rec & _HOLDS[t]:
+        return _VALID
+    return cm if want_countermodel else _INVALID
 
 
-@lru_cache(maxsize=1 << 20)
-def _decide_cached(t: Theory, f: Formula, budget: int,
-                   want_countermodel: bool) -> Verdict:
-    g, _ = orient(f)
-    if t is Theory.PL:
-        return _pl_verdict(g, want_countermodel)
-    if t is Theory.S5:
-        return _s5_verdict(g, want_countermodel)
-    if t is Theory.S4:
-        invalid = _s4_invalid(g)
-        directed_only = False
-    else:
-        # S4 ⊆ S4.2 ⊆ S5 cuts both eliminations short on most formulas.
-        if _s5_verdict(g, False).is_invalid:
-            invalid = True
-        elif not _s4_invalid(g):
-            invalid = False
-        else:
-            invalid = _s42_invalid(g)
-        directed_only = True
-    if not invalid:
-        return Verdict(VALID)
-    if not want_countermodel:
-        return Verdict(INVALID)
-    cm, exhausted = _search_countermodel(g, directed_only, budget)
-    if cm is None:
-        return Verdict(UNKNOWN, reason="refutable, but no countermodel within "
-                                       f"{_MAX_SEARCH_WORLDS} worlds / {budget} models")
-    return Verdict(INVALID, countermodel=cm)
-
-
-@lru_cache(maxsize=1 << 20)
 def is_valid(t: Theory, f: Formula) -> bool:
+    """Validity without a countermodel.  No cache of its own: the verdict
+    store behind decide answers repeats."""
     return decide(t, f, want_countermodel=False).is_valid
 
 
@@ -603,20 +715,29 @@ def classify(report: FragmentReport) -> ClassificationResult:
     """Compare the fragment against each theory: a theory matches when ml
     membership equals the theory verdict on every enumerated formula whose
     membership was resolved; unresolved formulas are excluded and counted."""
+    global _hits, _misses
     separators: dict[Theory, Formula] = {}
     matches = set(Theory)
     excluded = 0
     compared = 0
+    open_ = _ALL            # theories not yet separated
     for f in report.formulas:
         status = report.status[f]
         if status is None:
             excluded += 1
             continue
         compared += 1
+        if not open_:
+            continue
+        g, rec = _lookup(f)
+        if open_ & ~rec:
+            _misses += 1
+            rec, _ = _settle(f, g, rec, open_ & ~rec)
+        else:
+            _hits += 1
         for t in Theory:
-            if t in separators:
-                continue
-            if is_valid(t, f) != status:
+            if open_ & _KNOWN[t] and bool(rec & _HOLDS[t]) != status:
                 separators[t] = f
                 matches.discard(t)
+                open_ &= ~_KNOWN[t]
     return ClassificationResult(matches, separators, compared, excluded)

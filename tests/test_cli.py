@@ -50,6 +50,31 @@ class TestDecideCommand:
         assert out.startswith("unknown")
 
 
+class TestExitCodes:
+    def test_deep_nesting_is_a_syntax_error(self, capsys):
+        code, out, err = run(capsys, "decide", "--theory", "s4", "~" * 1200 + "p")
+        assert code == 3
+        assert out == "" and "nests more than" in err
+
+    def test_huge_frame_file_exceeds_budget(self, capsys, tmp_path):
+        path = tmp_path / "huge.frame"
+        path.write_text("worlds 100000000000\npoint 0\nend\n")
+        code, out, err = run(capsys, "check", "--frame", str(path), "p")
+        assert code == 4
+        assert out == "" and "budget" in err
+
+    def test_internal_error_has_its_own_code(self, capsys, monkeypatch):
+        from bikripke import cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_parse", broken)
+        code, out, err = run(capsys, "parse", "p")
+        assert code == 6
+        assert "internal error: RuntimeError: boom" in err
+
+
 class TestCheckCommand:
     def test_check(self, capsys, tmp_path):
         path = tmp_path / "m.frame"

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bikripke.errors import FormulaSyntaxError
 from bikripke.formula import (
+    MAX_NESTING,
     DOWN,
     UP,
     And,
@@ -70,6 +71,19 @@ def test_syntax_error_offset_and_expected():
     with pytest.raises(FormulaSyntaxError) as exc:
         parse("p @ q")
     assert exc.value.offset == 2
+
+
+def test_nesting_limit():
+    assert parse("~" * MAX_NESTING + "p") is not None
+    assert parse("(" * MAX_NESTING + "p" + ")" * MAX_NESTING) == p
+    too_deep = ["~" * (MAX_NESTING + 1) + "p",
+                "~" * 1200 + "p",
+                "(" * 1200 + "p" + ")" * 1200,
+                "p -> " * 1200 + "p",
+                " & ".join(["p"] * 1200)]
+    for text in too_deep:
+        with pytest.raises(FormulaSyntaxError, match="nests more than"):
+            parse(text)
 
 
 def test_print_atom():

@@ -81,6 +81,10 @@ class TestConstructors:
         with pytest.raises(BudgetExceeded):
             bs_frame(10, 10)
 
+    def test_make_frame_budget_before_allocation(self):
+        with pytest.raises(BudgetExceeded):
+            make_frame(100_000_000_000, [])
+
     def test_powerset_letters(self):
         m = powerset_frame([0], [], [0])
         # b0 is true exactly where index 0 is absent: the empty set, world 0.
@@ -208,6 +212,10 @@ class TestFileFormat:
     def test_comments_and_blanks(self):
         f = loads("# header\nframe f\n\nworlds 1\nup 0 0  # loop\nend\n")
         assert f == single_point()
+
+    def test_world_budget_checked_while_reading(self):
+        with pytest.raises(BudgetExceeded):
+            loads("frame f\nworlds 100000000000\nup 0 0\nend\n")
 
     def test_missing_end(self):
         with pytest.raises(FrameParseError):

@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bikripke import semantics
 from bikripke.errors import BadWorldIndex, BudgetExceeded
 from bikripke.formula import DOWN, UP, parse, substitute
-from bikripke.frame import (PointedModel, chain, cluster, make_frame,
-                            powerset_frame, single_point)
+from bikripke.frame import (Frame, PointedModel, chain, cluster, combo_frame,
+                            make_frame, powerset_frame, single_point)
 from bikripke.semantics import (
     definable_algebra,
     eval_formula,
@@ -238,3 +241,34 @@ class TestMultiverseTruth:
                     comp |= nxt
                 inside = mask & comp
                 assert inside == 0 or inside == comp
+
+
+@st.composite
+def _frame_and_sets(draw):
+    n = draw(st.integers(1, 16))
+    rows = tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(n))
+    xs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16))
+    return Frame(n, rows), xs
+
+
+class TestBoxTable:
+    @settings(max_examples=60, deadline=None)
+    @given(_frame_and_sets(), st.sampled_from([UP, DOWN]))
+    def test_table_equals_loop(self, case, d):
+        frame, xs = case
+        ctx = semantics._MlContext(PointedModel(frame, {}, 0))
+        x = np.array(xs, dtype=np.uint64)
+        table = ctx.box_table(d)[x].tolist()
+        assert table == semantics._box_vector(frame.masks(d), x).tolist()
+        assert table == [semantics._box_mask(frame, d, v) for v in xs]
+
+    def test_sweep_same_with_and_without_table(self, monkeypatch):
+        def run():
+            m = combo_frame("cluster_below_bs", 2, 2, 1)
+            frag = ml_fragment(m, 1, 5, {UP, DOWN})
+            return [(f, ml_status(m, f).status, ml_status(m, f).witness)
+                    for f in frag.formulas]
+
+        with_table = run()
+        monkeypatch.setattr(semantics, "_BOX_TABLE_WORLDS", 0)
+        assert run() == with_table

@@ -14,8 +14,9 @@ from bikripke.formula import (
     parse,
     subformulas,
 )
-from bikripke.frame import PointedModel
-from bikripke.semantics import eval_mask, holds_at
+from bikripke import theories
+from bikripke.frame import PointedModel, dumps, single_point
+from bikripke.semantics import eval_mask, holds_at, ml_fragment
 from bikripke.theories import (
     PL,
     S4,
@@ -27,6 +28,7 @@ from bikripke.theories import (
     decide,
     frame_class_check,
     is_valid,
+    verdict_store_stats,
 )
 from .conftest import all_universal_models, naive_truth, universal_model
 
@@ -302,3 +304,83 @@ class TestClassify:
         cls = classify(ml_fragment(m, 1, 6, {UP}))
         assert S4_2 in cls.matches
         assert S5 in cls.separators
+
+
+def _fresh_valid(t, f) -> bool:
+    """One theory's verdict straight from its decider: no store, no chain."""
+    g, _ = theories.orient(f)
+    compiled = theories._compile(g)
+    if t is PL:
+        return theories._pl_verdict(compiled, False).is_valid
+    if t is S5:
+        return theories._s5_verdict(compiled, False).is_valid
+    space = theories._type_space(compiled)
+    return not (theories._s4_invalid if t is S4 else theories._s42_invalid)(space)
+
+
+@pytest.fixture
+def empty_store(monkeypatch):
+    monkeypatch.setattr(theories, "_store", {})
+
+
+class TestVerdictStore:
+    def test_twins_share_one_record(self, empty_store):
+        for text in ("<u>[u]p -> p", "[u]p", "<u>p0 -> [u](<u>p1 -> <u>p0)"):
+            up = parse(text)
+            down = parse(text.replace("u>", "d>").replace("[u]", "[d]"))
+            for t in Theory:
+                v_up = decide(t, up)
+                before = verdict_store_stats()
+                v_down = decide(t, down)
+                after = verdict_store_stats()
+                assert v_down.status == v_up.status
+                if v_up.is_invalid:
+                    assert dumps(v_down.countermodel) == dumps(v_up.countermodel)
+                assert after["hits"] == before["hits"] + 1
+                assert after["size"] == before["size"]
+            assert down not in theories._store
+            assert up in theories._store
+
+    def test_mixed_directions_still_raise(self, empty_store):
+        f = parse("[u]p -> <d>p")
+        for t in Theory:
+            with pytest.raises(MixedDirections):
+                decide(t, f, want_countermodel=False)
+            with pytest.raises(MixedDirections):
+                is_valid(t, f)
+        frag = ml_fragment(PointedModel(single_point(), {}, 0), 1, 3, {UP, DOWN})
+        with pytest.raises(MixedDirections):
+            classify(frag)
+
+    def test_clears_at_size_limit(self, empty_store, monkeypatch):
+        monkeypatch.setattr(theories, "_STORE_LIMIT", 8)
+        sizes = []
+        for f in itertools.islice(enumerate_formulas(1, 4, {UP}), 40):
+            for t in Theory:
+                assert decide(t, f).is_valid == _fresh_valid(t, f)
+                sizes.append(verdict_store_stats()["size"])
+        assert max(sizes) == 8
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+        assert verdict_store_stats()["limit"] == 8
+
+    def test_matches_fresh_verdicts_on_k1_size5(self, empty_store):
+        # Ask the theories in a rotating order so that every chain shortcut
+        # fires from every side, and ask the DOWN twin too.
+        order = list(Theory)
+        for i, f in enumerate(enumerate_formulas(1, 5, {UP})):
+            rotated = order[i % 4:] + order[:i % 4]
+            for t in rotated:
+                assert is_valid(t, f) == _fresh_valid(t, f), (t, f)
+        for f in enumerate_formulas(1, 5, {DOWN}):
+            for t in order:
+                assert is_valid(t, f) == _fresh_valid(t, f), (t, f)
+
+    def test_stats_count_hits_and_misses(self, empty_store):
+        f = parse("<u>[u]p -> [u]<u>p")
+        before = verdict_store_stats()
+        decide(S4_2, f, want_countermodel=False)
+        decide(S4_2, f, want_countermodel=False)
+        after = verdict_store_stats()
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"] + 1
+        assert after["size"] == 1
