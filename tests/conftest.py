@@ -98,8 +98,8 @@ def naive_truth(m: PointedModel, w: int, f) -> bool:
 
 
 def random_model(rng: random.Random, max_n: int = 8,
-                 letters: int = 3) -> PointedModel:
-    n = rng.randint(1, max_n)
+                 letters: int = 3, min_n: int = 1) -> PointedModel:
+    n = rng.randint(min_n, max_n)
     masks = []
     for _ in range(n):
         row = 0

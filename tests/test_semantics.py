@@ -1,10 +1,12 @@
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bikripke import semantics
 from bikripke.errors import BadWorldIndex, BudgetExceeded
-from bikripke.formula import DOWN, UP, parse, substitute
+from bikripke.formula import DOWN, UP, Box, parse, substitute
 from bikripke.frame import (Frame, PointedModel, chain, cluster, combo_frame,
                             make_frame, powerset_frame, single_point)
 from bikripke.semantics import (
@@ -18,7 +20,7 @@ from bikripke.semantics import (
     multiverse_truth,
     valid_on,
 )
-from .conftest import naive_truth, random_formula, random_model
+from .conftest import naive_truth, naive_truth_memo, random_formula, random_model
 
 
 def chain2_model(p_worlds=(1,)):
@@ -62,6 +64,19 @@ class TestEval:
                 mask = eval_mask(m, f)
                 for w in range(m.frame.n):
                     assert bool((mask >> w) & 1) == naive_truth(m, w, f)
+
+    def test_agrees_with_naive_oracle_on_table_frames(self):
+        # 17-40 worlds: box and diamond go through the diamond tables.
+        rng = random.Random(17)
+        for _ in range(12):
+            m = random_model(rng, max_n=40, min_n=17)
+            for _ in range(6):
+                f = random_formula(rng, rng.randint(1, 9))
+                mask = eval_mask(m, f)
+                memo = {}
+                for w in range(m.frame.n):
+                    assert bool((mask >> w) & 1) == naive_truth_memo(m, w, f, memo)
+            assert "_dia_tables" in m.frame.__dict__
 
 
 def naive_closure(m, letters):
@@ -272,3 +287,94 @@ class TestBoxTable:
         with_table = run()
         monkeypatch.setattr(semantics, "_BOX_TABLE_WORLDS", 0)
         assert run() == with_table
+
+
+def loop_box(frame, d, x):
+    """Reference box: a world is in it iff all its d-successors are in x."""
+    out = 0
+    for w, succ in enumerate(frame.masks(d)):
+        if succ & ~x == 0:
+            out |= 1 << w
+    return out
+
+
+def loop_dia(frame, d, y):
+    """Reference diamond: a world is in it iff some d-successor is in y."""
+    return sum(1 << w for w, succ in enumerate(frame.masks(d)) if succ & y)
+
+
+class TestDiamondTables:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(17, 300), st.integers(0, 2 ** 32),
+           st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]), st.sampled_from([UP, DOWN]))
+    @example(17, 1, 0.1, UP)
+    @example(63, 2, 0.1, DOWN)
+    @example(65, 3, 0.5, UP)
+    @example(256, 4, 0.01, DOWN)
+    def test_tables_equal_loop(self, n, seed, density, d):
+        r = random.Random(seed)
+        rows = tuple(sum(1 << j for j in range(n) if r.random() < density)
+                     for _ in range(n))
+        frame = Frame(n, rows)
+        full = (1 << n) - 1
+        xs = [0, full] + [r.getrandbits(n) for _ in range(8)]
+        for x in xs:
+            assert semantics._box_mask(frame, d, x) == loop_box(frame, d, x)
+            assert semantics._dia_mask(frame, d, x) == loop_dia(frame, d, x)
+        tables = frame.__dict__["_dia_tables"][d]
+        assert len(tables) == (n + 7) // 8
+
+    def test_frame_above_cap_evaluates_without_tables(self):
+        n = semantics._DIA_TABLE_WORLDS + 1
+        r = random.Random(7)
+        rows = tuple((1 << w) | (1 << r.randrange(n)) | (1 << (w + 1) % n)
+                     for w in range(n))
+        m = PointedModel(Frame(n, rows), {f"p{i}": r.getrandbits(n)
+                                          for i in range(3)}, 0)
+        for d in (UP, DOWN):
+            for text in ("[{0}]p0", "<{0}>p1", "[{0}]<{0}>(p0 | ~p2)"):
+                f = parse(text.format(d.value))
+                ref = loop_box if isinstance(f, Box) else loop_dia
+                assert eval_mask(m, f) == ref(m.frame, d, eval_mask(m, f.sub))
+        for _ in range(10):
+            f = random_formula(r, r.randint(1, 6))
+            mask = eval_mask(m, f)
+            memo = {}
+            for w in r.sample(range(n), 8):
+                assert bool((mask >> w) & 1) == naive_truth_memo(m, w, f, memo)
+        assert "_dia_tables" not in m.frame.__dict__
+
+    def test_tiny_frames_get_no_tables(self):
+        m = chain2_model()
+        assert valid_on(m, parse("p -> [d]<u>p"))
+        assert "_dia_tables" not in m.frame.__dict__
+
+    def test_thm4_fragment_same_without_tables(self, monkeypatch):
+        from bikripke.cli import thm4_model
+
+        def run():
+            m = thm4_model()
+            frag = ml_fragment(m, 1, 4, {DOWN})
+            return [(f, ml_status(m, f).status, ml_status(m, f).witness)
+                    for f in frag.formulas]
+
+        with_tables = run()
+        monkeypatch.setattr(semantics, "_DIA_TABLE_WORLDS", 0)
+        assert run() == with_tables
+
+
+class TestMlCacheLimit:
+    def test_bounded_cache_same_answers(self, monkeypatch):
+        def run():
+            m = combo_frame("cluster_below_bs", 2, 2, 1)
+            frag = ml_fragment(m, 1, 5, {UP, DOWN})
+            out = [(f, frag.status[f], ml_status(m, f).witness)
+                   for f in frag.formulas]
+            return out, len(semantics._ml_context(m).ml_cache)
+
+        unbounded, size = run()
+        assert size == len(unbounded)
+        monkeypatch.setattr(semantics, "_ML_CACHE_LIMIT", 7)
+        bounded, size = run()
+        assert bounded == unbounded
+        assert 1 <= size <= 7
