@@ -32,15 +32,17 @@ from .formula import (
     Box,
     Dia,
     Direction,
+    Formula,
     Not,
     Or,
     Top,
+    _orient_to,
     enumerate_formulas,
     letters as formula_letters,
     substitute,
 )
 from .frame import PointedModel, WorldSet
-from .semantics import eval_mask, holds_at
+from .semantics import _box_mask, _dia_mask, _ml_context, eval_mask, holds_at
 
 
 def is_button(m: PointedModel, w: int, f: Formula, dir: Direction) -> bool:
@@ -93,15 +95,15 @@ class IndependenceCertificate:
     table: dict[int, dict[tuple[int, int], int]] = field(default_factory=dict)
 
 
-def _cover_depths(m: PointedModel, dir: Direction) -> dict[int, int]:
-    """BFS depth of every reachable world over the cover (transitive
+def _cover_depths(m: PointedModel, w: int, dir: Direction) -> dict[int, int]:
+    """BFS depth from w of every world it reaches over the cover (transitive
     reduction) edges of the direction's relation."""
     n = m.frame.n
     succ = m.frame.masks(dir)
     pred = m.frame.masks(dir.converse)
-    cone = m.frame.cone_mask(m.point, dir)
-    depth = {m.point: 0}
-    frontier = [m.point]
+    cone = m.frame.cone_mask(w, dir)
+    depth = {w: 0}
+    frontier = [w]
     while frontier:
         nxt = []
         for u in frontier:
@@ -118,61 +120,116 @@ def _cover_depths(m: PointedModel, dir: Direction) -> dict[int, int]:
     return depth
 
 
+class _ControlMasks:
+    """World masks of control formulas on one model along one direction.
+
+    For a formula c they are: where c is a button ([d]<d>[d]c), where it is
+    pushed ([d]c), where it is a switch (<d>c & <d>~c), and where it holds.
+    None of them depends on the point, so each is computed once and shared
+    by every family search and certificate check on the model; the object
+    lives in the model's _ml_context, with the candidate lists and the
+    horizon scopes."""
+
+    def __init__(self, m: PointedModel, dir: Direction):
+        self.model = m
+        self.dir = dir
+        self._masks: dict[Formula, tuple[int, int, int, int]] = {}
+        self._candidates: dict[int, list[Formula]] = {}
+        self._scopes: dict[tuple[int, Optional[int]], tuple[list[int], int]] = {}
+
+    def of(self, c: Formula) -> tuple[int, int, int, int]:
+        """(button, pushed, switch, truth) masks of c."""
+        hit = self._masks.get(c)
+        if hit is None:
+            frame, d = self.model.frame, self.dir
+            full = (1 << frame.n) - 1
+            truth = eval_mask(self.model, c)
+            pushed = _box_mask(frame, d, truth)
+            button = _box_mask(frame, d, _dia_mask(frame, d, pushed))
+            switch = _dia_mask(frame, d, truth) & _dia_mask(frame, d, full ^ truth)
+            hit = self._masks[c] = (button, pushed, switch, truth)
+        return hit
+
+    def candidates(self, compound_size: int) -> list[Formula]:
+        hit = self._candidates.get(compound_size)
+        if hit is None:
+            hit = self._candidates[compound_size] = _candidates(
+                self.model, self.dir, compound_size)
+        return hit
+
+    def scope(self, w: int, horizon: Optional[int]) -> tuple[list[int], int]:
+        """The worlds a certificate at w checks, ascending, and their mask:
+        w's cone, or its worlds within `horizon` cover steps of w."""
+        key = (w, horizon)
+        hit = self._scopes.get(key)
+        if hit is None:
+            if horizon is None:
+                worlds = sorted(WorldSet(self.model.frame.n,
+                                         self.model.frame.cone_mask(w, self.dir)))
+            else:
+                depths = _cover_depths(self.model, w, self.dir)
+                worlds = sorted(u for u, d in depths.items() if d <= horizon)
+            hit = self._scopes[key] = (worlds, sum(1 << u for u in worlds))
+        return hit
+
+
+def _control_masks(m: PointedModel, dir: Direction) -> _ControlMasks:
+    cache = _ml_context(m).control_masks
+    masks = cache.get(dir)
+    if masks is None:
+        masks = cache[dir] = _ControlMasks(m, dir)
+    return masks
+
+
 def check_independent(m: PointedModel, family: ControlFamily,
                       horizon: Optional[int] = None
                       ) -> Union[IndependenceCertificate, FailureWitness]:
     """Exhaustively verify the control conditions and the witness table over
     the reachable cone (restricted to the horizon when one is given)."""
+    frame = m.frame
     dir = family.direction
-    n = m.frame.n
     point = m.point
-    cone_mask = m.frame.cone_mask(point, dir)
-    if horizon is None:
-        scope = sorted(WorldSet(n, cone_mask))
-    else:
-        depths = _cover_depths(m, dir)
-        scope = sorted(u for u, d in depths.items() if d <= horizon)
-
+    masks = _control_masks(m, dir)
+    scope, scope_mask = masks.scope(point, horizon)
     nb = len(family.buttons)
     ns = len(family.switches)
     if (len(scope) * (1 << nb) * (1 << ns)) > 2 ** 22:
         raise BudgetExceeded("independence table too large")
 
     for b in family.buttons:
-        if not is_button(m, point, b, dir):
+        button, pushed, _, _ = masks.of(b)
+        if not (button >> point) & 1:
             return FailureWitness(point, f"not a button: {b}")
-        if is_pushed(m, point, b, dir):
+        if (pushed >> point) & 1:
             return FailureWitness(point, f"button already pushed: {b}")
     for s in family.switches:
-        sm = eval_mask(m, And(Dia(dir, s), Dia(dir, Not(s))))
-        for u in scope:
-            if not (sm >> u) & 1:
-                return FailureWitness(u, f"not a switch at world {u}: {s}")
-
-    pushed_sets = [eval_mask(m, Box(dir, b)) for b in family.buttons]
-    switch_sets = [eval_mask(m, s) for s in family.switches]
-
-    def pushed(u: int) -> int:
-        return sum(1 << i for i, pm in enumerate(pushed_sets) if (pm >> u) & 1)
-
-    def pattern(u: int) -> int:
-        return sum(1 << j for j, sm in enumerate(switch_sets) if (sm >> u) & 1)
+        missing = scope_mask & ~masks.of(s)[2]
+        if missing:
+            u = (missing & -missing).bit_length() - 1
+            return FailureWitness(u, f"not a switch at world {u}: {s}")
 
     # Configuration classes over the full cone; witnesses may lie anywhere.
-    config: dict[tuple[int, int], int] = {}
-    for u in WorldSet(n, cone_mask):
-        config.setdefault((pushed(u), pattern(u)), 0)
-        config[(pushed(u), pattern(u))] |= 1 << u
+    # Class bt | t << nb holds the cone worlds where exactly the buttons in
+    # bt are pushed and exactly the switches in t are true.
+    controls = ([masks.of(b)[1] for b in family.buttons]
+                + [masks.of(s)[3] for s in family.switches])
+    classes = [frame.cone_mask(point, dir)]
+    for x in controls:
+        classes = [c & ~x for c in classes] + [c & x for c in classes]
 
-    succ = m.frame.masks(dir)
-    cert = IndependenceCertificate(
-        family, horizon, point_pattern=pattern(point))
+    def profile(u: int) -> int:
+        return sum(1 << i for i, x in enumerate(controls) if (x >> u) & 1)
+
+    succ = frame.masks(dir)
     all_buttons = (1 << nb) - 1
+    cert = IndependenceCertificate(
+        family, horizon, point_pattern=profile(point) >> nb)
     for u in scope:
-        cert.pushed_at[u] = pushed(u)
-        cert.pattern_at[u] = pattern(u)
+        here = profile(u)
+        base = here & all_buttons
+        cert.pushed_at[u] = base
+        cert.pattern_at[u] = here >> nb
         row: dict[tuple[int, int], int] = {}
-        base = pushed(u)
         extra = all_buttons & ~base
         sub = extra
         targets_b = [base]
@@ -181,7 +238,7 @@ def check_independent(m: PointedModel, family: ControlFamily,
             sub = (sub - 1) & extra
         for bt in sorted(targets_b):
             for t in range(1 << ns):
-                candidates = config.get((bt, t), 0) & succ[u]
+                candidates = classes[bt | t << nb] & succ[u]
                 if not candidates:
                     return FailureWitness(u, "target unrealisable", (bt, t))
                 row[(bt, t)] = (candidates & -candidates).bit_length() - 1
@@ -221,29 +278,27 @@ def find_family(m: PointedModel, w: int, dir: Direction,
                 compound_size: int = 3) -> Optional[ControlFamily]:
     """First certified-independent family of the requested shape, searching
     valuation letters first and then small compounds in canonical order."""
-    cands = _candidates(m, dir, compound_size)
     base = PointedModel(m.frame, m.valuation, w) if w != m.point else m
-
-    sw_mask_cache: dict[Formula, int] = {}
-
-    def switch_everywhere(c: Formula) -> int:
-        if c not in sw_mask_cache:
-            sw_mask_cache[c] = eval_mask(m, And(Dia(dir, c), Dia(dir, Not(c))))
-        return sw_mask_cache[c]
-
-    if horizon is None:
-        scope = sorted(WorldSet(m.frame.n, m.frame.cone_mask(w, dir)))
-    else:
-        depths = _cover_depths(base, dir)
-        scope = sorted(u for u, d in depths.items() if d <= horizon)
-
-    buttons = [c for c in cands
-               if is_button(m, w, c, dir) and not is_pushed(m, w, c, dir)]
-    switches = [c for c in cands
-                if all((switch_everywhere(c) >> u) & 1 for u in scope)]
+    masks = _control_masks(base, dir)
+    _, scope_mask = masks.scope(w, horizon)
+    cone = m.frame.cone_mask(w, dir)
+    buttons: list[Formula] = []
+    switches: list[Formula] = []
+    for c in masks.candidates(compound_size):
+        button, pushed, switch, _ = masks.of(c)
+        if (button >> w) & 1 and not (pushed >> w) & 1:
+            buttons.append(c)
+        if switch & scope_mask == scope_mask:
+            switches.append(c)
     if len(buttons) < m_count or len(switches) < n_count:
         return None
     for bs in itertools.combinations(buttons[:10], m_count):
+        # Two buttons whose pushed sets are nested in the cone can never be
+        # pushed one without the other, which the table asks for at w.
+        pushed_sets = [masks.of(b)[1] & cone for b in bs]
+        if any(a & ~b == 0 or b & ~a == 0
+               for a, b in itertools.combinations(pushed_sets, 2)):
+            continue
         for ss in itertools.combinations(switches[:10], n_count):
             fam = ControlFamily(dir, tuple(bs), tuple(ss), base, horizon)
             cert = check_independent(base, fam, horizon)
@@ -408,16 +463,3 @@ def _disj(parts: list[Formula]) -> Formula:
     for p in parts[1:]:
         out = Or(out, p)
     return out
-
-
-def _orient_to(f: Formula, d: Direction) -> Formula:
-    """Rewrite every modal operator of the monomodal f to direction d."""
-    if isinstance(f, (Atom, Top, Bot)):
-        return f
-    if isinstance(f, Not):
-        return Not(_orient_to(f.sub, d))
-    if isinstance(f, Box):
-        return Box(d, _orient_to(f.sub, d))
-    if isinstance(f, Dia):
-        return Dia(d, _orient_to(f.sub, d))
-    return type(f)(_orient_to(f.left, d), _orient_to(f.right, d))

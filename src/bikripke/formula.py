@@ -506,6 +506,19 @@ def substitute(f: Formula, s: Substitution) -> Formula:
     return go(f)
 
 
+def _orient_to(f: Formula, d: Direction) -> Formula:
+    """Rewrite every modal operator of f to direction d."""
+    if isinstance(f, (Atom, Top, Bot)):
+        return f
+    if isinstance(f, Not):
+        return Not(_orient_to(f.sub, d))
+    if isinstance(f, Box):
+        return Box(d, _orient_to(f.sub, d))
+    if isinstance(f, Dia):
+        return Dia(d, _orient_to(f.sub, d))
+    return type(f)(_orient_to(f.left, d), _orient_to(f.right, d))
+
+
 def polarity(f: Formula, letter: str) -> int:
     """Polarity of a letter's occurrences in f: 1 all positive, -1 all
     negative, 0 mixed or absent."""

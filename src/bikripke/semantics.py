@@ -10,14 +10,20 @@ Membership in the substitution-closed fragment ml(m, f) quantifies the
 letters of f over the definable algebra.  When the algebra fits the budget
 the quantification is swept exactly (vectorised over assignments); otherwise
 membership is resolved by certified reasoning: validity over the frame's
-class implies membership, and a model-checked refuting substitution (built
-from a certified control family, or from a small probe set) disproves it.
-Queries that neither route resolves raise BudgetExceeded rather than guess.
+class implies membership, and a model-checked refuting substitution disproves
+it.  On a reflexive frame a PL-invalid formula is refuted by constant
+substitution: each letter becomes ⊤ or ⊥ as in its one-world PL
+countermodel, since box and diamond of a constant are that constant there.
+Other refutations are built from a certified control family, whose candidate
+masks are computed once per (model, direction) and kept in the model's
+context, or from a small probe set.  Queries that neither route resolves
+raise BudgetExceeded rather than guess.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -38,6 +44,7 @@ from .formula import (
     Not,
     Or,
     Top,
+    _orient_to,
     directions,
     enumerate_formulas,
     letters as formula_letters,
@@ -298,26 +305,19 @@ class _DirInfo:
         self.cone_single = cone == (1 << m.point)
         self.cone_cluster = all(
             frame.masks(dir)[w] & cone == cone for w in WorldSet(frame.n, cone))
-        self._family_cert = None
-        self._family_done = False
 
+    @cached_property
     def family_cert(self):
         """Best certified control family at the point with its certificate,
-        searched lazily; None when no shape certifies."""
-        if self._family_done:
-            return self._family_cert
-        from .controls import IndependenceCertificate, check_independent, find_family
+        searched on first use; None when no shape certifies.  Every search
+        of the ladder reads the candidates' masks computed once."""
+        from .controls import check_independent, find_family
         m = self.ctx.model
         for shape in ((2, 2), (2, 1), (1, 2), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1)):
             for horizon in (None, 2, 1, 0):
                 fam = find_family(m, m.point, self.dir, *shape, horizon=horizon)
                 if fam is not None:
-                    cert = check_independent(m, fam, horizon=fam.horizon)
-                    if isinstance(cert, IndependenceCertificate):
-                        self._family_cert = cert
-                        self._family_done = True
-                        return cert
-        self._family_done = True
+                    return check_independent(m, fam, horizon=fam.horizon)
         return None
 
 
@@ -328,19 +328,24 @@ _ML_CACHE_LIMIT = 1 << 16
 
 
 class _MlContext:
-    """Per-model cache: the definable algebra when affordable, and the
-    per-direction certified reasoning machinery otherwise."""
+    """Per-model cache: the definable algebra when affordable, the
+    per-direction certified reasoning machinery otherwise, and the masks of
+    control formulas per direction (controls._ControlMasks)."""
 
     def __init__(self, m: PointedModel):
         self.model = m
-        try:
-            self.algebra = definable_algebra(m)
-        except BudgetExceeded:
-            self.algebra = None
         self._dirs: dict[Direction, _DirInfo] = {}
         self._letter_vectors: dict[int, list] = {}
         self._box_tables: dict[Direction, np.ndarray] = {}
         self.ml_cache: dict[Formula, MlOutcome] = {}
+        self.control_masks: dict[Direction, object] = {}
+
+    @cached_property
+    def algebra(self) -> Optional[DefinableAlgebra]:
+        try:
+            return definable_algebra(self.model)
+        except BudgetExceeded:
+            return None
 
     def dir_info(self, dir: Direction) -> _DirInfo:
         if dir not in self._dirs:
@@ -523,6 +528,11 @@ def _ml_status_uncached(ctx: _MlContext, f: Formula) -> MlOutcome:
         out = _ml_monomodal(ctx, f, d)
         if out.status is not None:
             return out
+    elif m.frame.props.reflexive:
+        # Reflexive up is reflexive down: the PL collapse of f decides.
+        out = _constant_refute(m, f, _orient_to(f, UP))
+        if out is not None:
+            return out
     # Last resort: small probe substitutions in every direction.
     out = _probe_refute(ctx, f, letters)
     if out is not None:
@@ -535,11 +545,11 @@ def _positive_only(g: Formula, p: str) -> bool:
 
 
 def _ml_monomodal(ctx: _MlContext, f: Formula, d: Direction) -> MlOutcome:
-    from .theories import PL, S4, S4_2, S5, decide, is_valid, orient
+    from .theories import PL, S4, S4_2, S5, decide, is_valid
 
     info = ctx.dir_info(d)
     # The theories file verdicts under the UP twin: orient once for all.
-    g = f if d is UP else orient(f)[0]
+    g = f if d is UP else _orient_to(f, UP)
     # Truth of a d-monomodal formula at the point only involves the point's
     # d-cone, so validity over the cone's frame class settles membership.
     if info.cone_single:
@@ -547,6 +557,14 @@ def _ml_monomodal(ctx: _MlContext, f: Formula, d: Direction) -> MlOutcome:
         # realised by algebra members (full and empty), so membership is
         # exactly PL validity.
         return MlOutcome(is_valid(PL, g), how="single-world cone")
+    if ctx.model.frame.props.reflexive:
+        # PL is asked with the theories the validity routes below need.
+        needed = (((S5,) if info.cone_cluster else ())
+                  + ((S4_2,) if info.rt and info.directed else ())
+                  + ((S4,) if info.rt else ()))
+        out = _constant_refute(ctx.model, f, g, needed)
+        if out is not None:
+            return out
     if info.cone_cluster and is_valid(S5, g):
         return MlOutcome(True, how="S5 validity on cluster cone")
     if info.rt and info.directed and is_valid(S4_2, g):
@@ -560,7 +578,7 @@ def _ml_monomodal(ctx: _MlContext, f: Formula, d: Direction) -> MlOutcome:
         theory = S5 if info.cone_cluster else S4_2
         verdict = decide(theory, g)
         if verdict.is_invalid and verdict.countermodel is not None:
-            cert = info.family_cert()
+            cert = info.family_cert
             if cert is not None:
                 from .controls import simulate_countermodel
                 from .errors import InsufficientControls, VerificationFailed
@@ -571,6 +589,29 @@ def _ml_monomodal(ctx: _MlContext, f: Formula, d: Direction) -> MlOutcome:
                 except (InsufficientControls, VerificationFailed):
                     pass
     return MlOutcome(None, how="unresolved")
+
+
+def _constant_refute(m: PointedModel, f: Formula, g: Formula,
+                     also: tuple = ()) -> Optional[MlOutcome]:
+    """Refute a PL-invalid f on a reflexive frame by constant substitution.
+
+    There box and diamond of ⊤ are ⊤ and of ⊥ are ⊥, so a formula built
+    from ⊤ and ⊥ takes its PL value at every world, and f fails at the point
+    once each letter is replaced by its value in f's one-world PL
+    countermodel (Hamkins–Löwe 2008).  g is f with every modality turned UP,
+    as the theories file it; the theories in `also` are settled in the same
+    pass.  One model check with full and empty sets verifies the witness."""
+    from .theories import pl_countermodel
+
+    cm = pl_countermodel(g, *also)
+    if cm is None:
+        return None
+    full = (1 << m.frame.n) - 1
+    env = {l: full if v else 0 for l, v in cm.valuation.items()}
+    if (eval_mask(m, f, env=env) >> m.point) & 1:
+        return None
+    sigma = {l: Top() if v else Bot() for l, v in cm.valuation.items()}
+    return MlOutcome(False, witness=sigma, how="constant substitution")
 
 
 def _probe_refute(ctx: _MlContext, f: Formula, letters: list[str]) -> Optional[MlOutcome]:

@@ -51,6 +51,7 @@ from .formula import (
     Not,
     Or,
     Top,
+    _orient_to,
     directions,
     letters as formula_letters,
 )
@@ -135,7 +136,6 @@ def orient(f: Formula) -> tuple[Formula, Direction]:
         raise MixedDirections(f"formula uses both directions: {f}")
     if not dirs or UP in dirs:
         return f, (UP if not dirs else UP)
-    from .controls import _orient_to
     return _orient_to(f, UP), DOWN
 
 
@@ -698,6 +698,29 @@ def is_valid(t: Theory, f: Formula) -> bool:
     """Validity without a countermodel.  No cache of its own: the verdict
     store behind decide answers repeats."""
     return decide(t, f, want_countermodel=False).is_valid
+
+
+def pl_countermodel(g: Formula, *also: Theory) -> Optional[PointedModel]:
+    """The canonical one-world PL countermodel of the UP-oriented g, or None
+    when g is PL-valid.  The theories in `also` are settled in the same pass
+    (PL runs first, and a PL refutation settles them all), so the validity
+    questions that follow are answered from the store."""
+    global _hits, _misses
+    rec = _store.get(g, 0)
+    want = _KNOWN[PL]
+    for t in also:
+        want |= _KNOWN[t]
+    if not want & ~rec:
+        if rec & _HOLDS[PL]:
+            _hits += 1
+            return None
+        hit = _store.get((g, PL, SEARCH_BUDGET))
+        if hit is not None:
+            _hits += 1
+            return hit.countermodel
+    _misses += 1
+    _, cm = _settle(g, g, rec, want, PL)
+    return None if cm is None else cm.countermodel
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from bikripke.controls import (
@@ -24,8 +26,19 @@ from bikripke.formula import (
     parse,
     substitute,
 )
-from bikripke.frame import PointedModel, bs_model, chain, cluster, powerset_frame
-from bikripke.semantics import eval_mask, holds_at
+from bikripke.cli import corpus, thm4_model, thm5_model
+from bikripke.frame import (
+    PointedModel,
+    WorldSet,
+    bs_model,
+    chain,
+    cluster,
+    combo_frame,
+    powerset_frame,
+)
+from bikripke.controls import _candidates
+from bikripke.formula import And
+from bikripke.semantics import _ml_context, eval_mask, holds_at
 from bikripke.theories import S4_2, S5, decide
 
 
@@ -238,3 +251,173 @@ class TestMixedButtons:
                 down_ok = holds_at(m, w, Imp(Dia(DOWN, Box(DOWN, f)), f))
                 up_ok = holds_at(m, w, Imp(Dia(UP, Box(UP, Not(f))), Not(f)))
                 assert not (down_ok and up_ok)
+
+
+# -- Reference family search ---------------------------------------------------
+# The search as it was written before it shared masks: every candidate and
+# every family re-evaluated by model checks, the configuration classes built
+# world by world.  The shared-mask search must return what this returns.
+
+def _ref_cover_depths(m, dir):
+    n = m.frame.n
+    succ = m.frame.masks(dir)
+    pred = m.frame.masks(dir.converse)
+    cone = m.frame.cone_mask(m.point, dir)
+    depth = {m.point: 0}
+    frontier = [m.point]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in WorldSet(n, succ[u] & cone & ~(1 << u)):
+                if v in depth or succ[u] & pred[v] & ~(1 << u) & ~(1 << v):
+                    continue
+                depth[v] = depth[u] + 1
+                nxt.append(v)
+        frontier = nxt
+    return depth
+
+
+def _ref_scope(m, dir, horizon):
+    if horizon is None:
+        return sorted(WorldSet(m.frame.n, m.frame.cone_mask(m.point, dir)))
+    return sorted(u for u, d in _ref_cover_depths(m, dir).items() if d <= horizon)
+
+
+def _ref_check_independent(m, family, horizon=None):
+    dir = family.direction
+    n = m.frame.n
+    point = m.point
+    scope = _ref_scope(m, dir, horizon)
+    nb, ns = len(family.buttons), len(family.switches)
+    for b in family.buttons:
+        if not is_button(m, point, b, dir):
+            return FailureWitness(point, f"not a button: {b}")
+        if is_pushed(m, point, b, dir):
+            return FailureWitness(point, f"button already pushed: {b}")
+    for s in family.switches:
+        sm = eval_mask(m, And(Dia(dir, s), Dia(dir, Not(s))))
+        for u in scope:
+            if not (sm >> u) & 1:
+                return FailureWitness(u, f"not a switch at world {u}: {s}")
+    pushed_sets = [eval_mask(m, Box(dir, b)) for b in family.buttons]
+    switch_sets = [eval_mask(m, s) for s in family.switches]
+
+    def pushed(u):
+        return sum(1 << i for i, pm in enumerate(pushed_sets) if (pm >> u) & 1)
+
+    def pattern(u):
+        return sum(1 << j for j, sm in enumerate(switch_sets) if (sm >> u) & 1)
+
+    config = {}
+    for u in WorldSet(n, m.frame.cone_mask(point, dir)):
+        config[(pushed(u), pattern(u))] = config.get((pushed(u), pattern(u)), 0) | 1 << u
+    succ = m.frame.masks(dir)
+    cert = IndependenceCertificate(family, horizon, point_pattern=pattern(point))
+    all_buttons = (1 << nb) - 1
+    for u in scope:
+        cert.pushed_at[u] = pushed(u)
+        cert.pattern_at[u] = pattern(u)
+        row = {}
+        base = pushed(u)
+        extra = all_buttons & ~base
+        targets_b = [base | sub for sub in range(extra + 1) if sub & ~extra == 0]
+        for bt in sorted(targets_b):
+            for t in range(1 << ns):
+                candidates = config.get((bt, t), 0) & succ[u]
+                if not candidates:
+                    return FailureWitness(u, "target unrealisable", (bt, t))
+                row[(bt, t)] = (candidates & -candidates).bit_length() - 1
+        cert.table[u] = row
+    return cert
+
+
+def _ref_find_family(m, w, dir, m_count, n_count, horizon=None):
+    cands = _candidates(m, dir, 3)
+    base = PointedModel(m.frame, m.valuation, w) if w != m.point else m
+    scope = _ref_scope(base, dir, horizon)
+    buttons = [c for c in cands
+               if is_button(m, w, c, dir) and not is_pushed(m, w, c, dir)]
+    switches = [c for c in cands
+                if all(holds_at(m, u, And(Dia(dir, c), Dia(dir, Not(c))))
+                       for u in scope)]
+    if len(buttons) < m_count or len(switches) < n_count:
+        return None
+    for bs in itertools.combinations(buttons[:10], m_count):
+        for ss in itertools.combinations(switches[:10], n_count):
+            fam = ControlFamily(dir, tuple(bs), tuple(ss), base, horizon)
+            if isinstance(_ref_check_independent(base, fam, horizon),
+                          IndependenceCertificate):
+                return fam
+    return None
+
+
+_LADDER = [(shape, horizon)
+           for shape in ((2, 2), (2, 1), (1, 2), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1))
+           for horizon in (None, 2, 1, 0)]
+
+
+def _same_outcome(got, want):
+    """Families, certificates and failure witnesses compared field by field."""
+    if isinstance(want, FailureWitness):
+        return got == want
+    if isinstance(want, ControlFamily):
+        return (isinstance(got, ControlFamily)
+                and (got.direction, got.buttons, got.switches, got.base, got.horizon)
+                == (want.direction, want.buttons, want.switches, want.base,
+                    want.horizon))
+    return (isinstance(got, IndependenceCertificate)
+            and _same_outcome(got.family, want.family)
+            and (got.horizon, got.point_pattern, got.pushed_at, got.pattern_at,
+                 got.table)
+            == (want.horizon, want.point_pattern, want.pushed_at, want.pattern_at,
+                want.table))
+
+
+class TestSharedMaskSearch:
+    @pytest.mark.parametrize("name,dir", [
+        ("thm4", DOWN), ("thm5", UP),
+        ("thm6", UP), ("thm6", DOWN), ("thm7", UP), ("thm7", DOWN)])
+    def test_ladder_equals_reference(self, name, dir):
+        m = {"thm4": thm4_model, "thm5": thm5_model,
+             "thm6": lambda: combo_frame("cluster_below_bs", 2, 2, 1),
+             "thm7": lambda: combo_frame("cluster_above_bs", 2, 2, 1)}[name]()
+        first = None
+        for (nb, ns), horizon in _LADDER:
+            want = _ref_find_family(m, m.point, dir, nb, ns, horizon)
+            got = find_family(m, m.point, dir, nb, ns, horizon=horizon)
+            if want is None:
+                assert got is None
+                continue
+            assert _same_outcome(got, want)
+            want_cert = _ref_check_independent(m, want, horizon)
+            assert _same_outcome(check_independent(m, got, horizon), want_cert)
+            if first is None:
+                first = want_cert
+        # The certificate ml_status refutes with is the ladder's first one.
+        got_cert = _ml_context(m).dir_info(dir).family_cert
+        assert (got_cert is None) == (first is None)
+        if first is not None:
+            assert _same_outcome(got_cert, first)
+
+    def test_failure_witnesses_equal_reference(self):
+        # Every family of two buttons and one switch from the first candidates,
+        # at every horizon: the same certificate or the same failure.
+        m = thm4_model()
+        cands = _candidates(m, DOWN, 3)[:6]
+        for horizon in (None, 1):
+            for bs in itertools.combinations(cands, 2):
+                for s in cands:
+                    fam = ControlFamily(DOWN, bs, (s,), m, horizon)
+                    assert _same_outcome(check_independent(m, fam, horizon),
+                                         _ref_check_independent(m, fam, horizon))
+
+    def test_corpus_equals_reference(self):
+        for name, m in corpus():
+            for dir in (UP, DOWN):
+                for w in sorted({m.point, m.frame.n - 1}):
+                    for (nb, ns), horizon in ((1, 1), None), ((2, 1), 1), ((0, 2), None):
+                        want = _ref_find_family(m, w, dir, nb, ns, horizon)
+                        got = find_family(m, w, dir, nb, ns, horizon=horizon)
+                        assert (got is None) == (want is None), name
+                        if want is not None:
+                            assert _same_outcome(got, want), name

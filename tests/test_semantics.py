@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bikripke import semantics
 from bikripke.errors import BadWorldIndex, BudgetExceeded
-from bikripke.formula import DOWN, UP, Box, parse, substitute
+from bikripke.formula import DOWN, UP, Bot, Box, Top, letters, parse, substitute
 from bikripke.frame import (Frame, PointedModel, chain, cluster, combo_frame,
                             make_frame, powerset_frame, single_point)
 from bikripke.semantics import (
@@ -378,3 +378,68 @@ class TestMlCacheLimit:
         bounded, size = run()
         assert bounded == unbounded
         assert 1 <= size <= 7
+
+
+def reflexive_model(r: random.Random, transitive: bool) -> PointedModel:
+    """A random model with every world reflexive, closed transitively on
+    request."""
+    m = random_model(r, max_n=6, letters=2)
+    rows = [mask | 1 << w for w, mask in enumerate(m.frame.up_masks)]
+    while transitive:
+        wider = [row for row in rows]
+        for w, row in enumerate(rows):
+            for v in range(len(rows)):
+                if (row >> v) & 1:
+                    wider[w] |= rows[v]
+        if wider == rows:
+            break
+        rows = wider
+    return PointedModel(Frame(len(rows), tuple(rows)), m.valuation, m.point)
+
+
+def pl_valid(f) -> bool:
+    """Truth-table validity on one reflexive point, by the naive oracle."""
+    ls = sorted(letters(f))
+    return all(
+        naive_truth_memo(PointedModel(single_point(),
+                                      {l: (a >> i) & 1 for i, l in enumerate(ls)}, 0),
+                         0, f)
+        for a in range(1 << len(ls)))
+
+
+class TestConstantSubstitution:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.booleans(),
+           st.sampled_from([(UP,), (DOWN,), (UP, DOWN)]))
+    def test_certified_routes_agree_with_sweep(self, seed, transitive, dirs):
+        r = random.Random(seed)
+        m = reflexive_model(r, transitive)
+        exact = PointedModel(m.frame, m.valuation, m.point)
+        semantics._ml_context(m).algebra = None   # certified routes only
+        for _ in range(8):
+            f = random_formula(r, 7, letters=2, dirs=dirs)
+            out = ml_status(m, f)
+            if out.how == "constant substitution":
+                assert out.status is False
+                assert not pl_valid(f)
+                assert set(out.witness) == letters(f)
+                assert all(g in (Top(), Bot()) for g in out.witness.values())
+                assert not naive_truth_memo(m, m.point, substitute(f, out.witness))
+            if out.status is not None:
+                assert out.status == ml_status(exact, f).status
+
+    @pytest.mark.parametrize("text", ["[u]p0 & <d>p1", "<d>[u]p0 -> [d]p0 & p1"])
+    def test_bimodal_on_lattice_over_budget(self, text):
+        from bikripke.cli import thm5_model
+        m = thm5_model()
+        assert m.frame.props.reflexive
+        assert semantics._ml_context(m).algebra is None
+        f = parse(text)
+        out = ml_status(m, f)
+        assert (out.status, out.how) == (False, "constant substitution")
+        assert not naive_truth_memo(m, m.point, substitute(f, out.witness))
+
+    def test_pl_valid_formula_is_not_refuted_by_constants(self):
+        from bikripke.cli import thm5_model
+        out = ml_status(thm5_model(), parse("[u]p0 -> [u][u]p0"))
+        assert out.status is True
