@@ -1,6 +1,7 @@
 """Kripke model checking and substitution-closed modal fragments.
 
-The extension of a formula is computed bottom-up over bitmask world sets.
+The extension of a formula is computed bottom-up over bitmask world sets by
+one memoised tree walk, _evaluate, which the exact sweep shares.
 The definable algebra of a model is the least family of world sets containing
 the valuation sets (plus the empty and full sets) closed under complement,
 intersection and both box preimages; on a finite model this equals the family
@@ -8,7 +9,8 @@ of unions of two-way bisimulation classes, which is how it is computed here.
 
 Membership in the substitution-closed fragment ml(m, f) quantifies the
 letters of f over the definable algebra.  When the algebra fits the budget
-the quantification is swept exactly (vectorised over assignments); otherwise
+the quantification is swept exactly on the quotient by those classes, for
+all assignments at once as vectors of class masks; otherwise
 membership is resolved by certified reasoning: validity over the frame's
 class implies membership, and a model-checked refuting substitution disproves
 it.  On a reflexive frame a PL-invalid formula is refuted by constant
@@ -22,8 +24,9 @@ raise BudgetExceeded rather than guess.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Optional
 
 import numpy as np
@@ -62,44 +65,71 @@ def eval_mask(m: PointedModel, f: Formula,
               env: dict[str, int] | None = None) -> int:
     """Extension of f as a bitmask.  env overrides the model valuation."""
     frame = m.frame
-    full = (1 << frame.n) - 1
-    memo: dict[Formula, int] = {}
-    valuation = m.valuation if env is None else env
+    try:
+        return _evaluate(f, m.valuation if env is None else env, (1 << frame.n) - 1,
+                         partial(_box_mask, frame), partial(_dia_mask, frame))
+    except RecursionError:
+        raise _too_deep() from None
 
-    def go(g: Formula) -> int:
+
+def _evaluate(f: Formula, atoms: dict, full, box, dia):
+    """Value of f, memoised per subformula, on any carrier closed under
+    ^ & |: int world masks, or NumPy vectors of masks.  atoms maps letters
+    to values (an absent letter is empty), full is the value of ⊤, and
+    box(dir, x) and dia(dir, x) are the modal operators on the carrier.
+
+    This walk serves formulas evaluated once; theories._run runs a compiled
+    formula that is evaluated many times."""
+    empty = full ^ full
+    memo: dict[Formula, object] = {}
+
+    def go(g: Formula):
+        kind = type(g)
+        if kind is Atom:
+            return atoms.get(g.name, empty)
         hit = memo.get(g)
         if hit is not None:
             return hit
-        if isinstance(g, Atom):
-            out = valuation.get(g.name, 0)
-        elif isinstance(g, Top):
-            out = full
-        elif isinstance(g, Bot):
-            out = 0
-        elif isinstance(g, Not):
+        if kind is Not:
             out = full ^ go(g.sub)
-        elif isinstance(g, And):
+        elif kind is Box:
+            out = box(g.dir, go(g.sub))
+        elif kind is Dia:
+            out = dia(g.dir, go(g.sub))
+        elif kind is And:
             out = go(g.left) & go(g.right)
-        elif isinstance(g, Or):
+        elif kind is Or:
             out = go(g.left) | go(g.right)
-        elif isinstance(g, Imp):
+        elif kind is Imp:
             out = (full ^ go(g.left)) | go(g.right)
-        elif isinstance(g, Iff):
-            out = full ^ (go(g.left) ^ go(g.right))
-        elif isinstance(g, Box):
-            out = _box_mask(frame, g.dir, go(g.sub))
-        elif isinstance(g, Dia):
-            out = _dia_mask(frame, g.dir, go(g.sub))
+        elif kind is Iff:
+            out = full ^ go(g.left) ^ go(g.right)
+        elif kind is Top:
+            out = full
+        elif kind is Bot:
+            out = empty
         else:  # pragma: no cover
             raise TypeError(f"not a formula: {g!r}")
         memo[g] = out
         return out
 
-    return go(f)
+    try:
+        return go(f)
+    finally:
+        # go refers to itself; without this the memo's values would wait for
+        # the cycle collector, whose extra passes land in the latency tail.
+        del go
 
 
-# Frames up to this many worlds compute box by a 2^n-entry gather table in
-# the exact sweep, and box and diamond on world masks by the per-world loop.
+def _too_deep() -> BudgetExceeded:
+    """The error for a formula, built in code, that nests past the
+    interpreter's recursion limit (the parser refuses such text)."""
+    return BudgetExceeded("formula nested too deep to evaluate (recursion limit "
+                          f"{sys.getrecursionlimit()})")
+
+
+# Frames up to this many worlds compute box and diamond on world masks by
+# the per-world loop.
 _BOX_TABLE_WORLDS = 16
 # Frames with more worlds than _BOX_TABLE_WORLDS and at most this many
 # compute diamond on world masks from byte-sliced tables.  The tables of one
@@ -129,6 +159,14 @@ def _dia_mask(frame: Frame, dir: Direction, y: int) -> int:
     return out
 
 
+def _union_table(masks: list[int]) -> list[int]:
+    """Entry b is the union of masks[i] over the set bits i of b."""
+    table = [0]
+    for p in masks:             # entries with the next bit set: old ones | p
+        table += [t | p for t in table]
+    return table
+
+
 def _dia_tables(frame: Frame, dir: Direction) -> list[list[int]] | None:
     """Diamond tables of the frame along dir, or None outside
     _BOX_TABLE_WORLDS < n <= _DIA_TABLE_WORLDS.
@@ -144,13 +182,8 @@ def _dia_tables(frame: Frame, dir: Direction) -> list[list[int]] | None:
     tables = cache.get(dir)
     if tables is None:
         preds = frame.masks(dir.converse)
-        tables = []
-        for j in range(0, frame.n, 8):
-            table = [0]
-            for p in preds[j:j + 8]:     # entries with bit i set: old ones | p
-                table += [t | p for t in table]
-            tables.append(table)
-        cache[dir] = tables
+        tables = cache[dir] = [_union_table(preds[j:j + 8])
+                               for j in range(0, frame.n, 8)]
     return tables
 
 
@@ -260,19 +293,9 @@ def definable_algebra(m: PointedModel, letters: Iterable[str] | None = None,
     if q > 60 or (1 << q) > budget:
         raise BudgetExceeded(
             f"definable algebra has 2^{q} sets, budget is {budget}")
-    masks = []
-    for combo in range(1 << q):
-        acc = 0
-        c = combo
-        while c:
-            low = c & -c
-            acc |= cells[low.bit_length() - 1]
-            c ^= low
-        masks.append(acc)
-    masks = sorted(set(masks))
     n = m.frame.n
     return DefinableAlgebra(m, gens, tuple(cells),
-                            tuple(WorldSet(n, mk) for mk in masks))
+                            tuple(WorldSet(n, mk) for mk in sorted(_union_table(cells))))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +359,7 @@ class _MlContext:
         self.model = m
         self._dirs: dict[Direction, _DirInfo] = {}
         self._letter_vectors: dict[int, list] = {}
-        self._box_tables: dict[Direction, np.ndarray] = {}
+        self._cell_tables: dict[Direction, np.ndarray] = {}
         self.ml_cache: dict[Formula, MlOutcome] = {}
         self.control_masks: dict[Direction, object] = {}
 
@@ -352,15 +375,19 @@ class _MlContext:
             self._dirs[dir] = _DirInfo(self, dir)
         return self._dirs[dir]
 
-    def box_table(self, dir: Direction) -> np.ndarray:
-        """Box along dir of every world set, indexed by its mask; frames of
-        at most 16 worlds only."""
-        table = self._box_tables.get(dir)
+    def cell_table(self, dir: Direction) -> np.ndarray:
+        """Diamond along dir of every set of the algebra's cells, indexed by
+        its cell mask.  The cells are two-way bisimulation classes, so a
+        cell's successor cells are the same from each of its worlds."""
+        table = self._cell_tables.get(dir)
         if table is None:
-            frame = self.model.frame
-            table = _box_vector(frame.masks(dir),
-                                np.arange(1 << frame.n, dtype=np.uint64))
-            self._box_tables[dir] = table
+            cells = self.algebra.cells
+            succ = self.model.frame.masks(dir)
+            preds = [sum(1 << i for i, cell in enumerate(cells)
+                         if succ[(cell & -cell).bit_length() - 1] & other)
+                     for other in cells]
+            table = np.array(_union_table(preds), dtype=np.uint64)
+            self._cell_tables[dir] = table
         return table
 
 
@@ -372,110 +399,42 @@ def _ml_context(m: PointedModel) -> _MlContext:
     return ctx
 
 
-def _assignment_vectors(ctx: _MlContext, k: int) -> list[np.ndarray] | None:
-    """Per-letter algebra-mask vectors for the full k-fold assignment sweep,
-    or None if the model does not fit the vectorised path."""
-    if ctx.algebra is None or ctx.model.frame.n > 60:
-        return None
-    a = len(ctx.algebra)
-    total = a ** k
-    if total > ASSIGNMENT_BUDGET:
+def _sweep(ctx: _MlContext, f: Formula, letters: list[str]) -> MlOutcome:
+    """Exact membership on the quotient by the algebra's cells: every letter
+    ranges over the algebra's members as cell masks, all at once."""
+    algebra = ctx.algebra
+    a, k = len(algebra), len(letters)
+    if a ** k > ASSIGNMENT_BUDGET:
         raise BudgetExceeded(
             f"{a}^{k} assignments exceeds budget {ASSIGNMENT_BUDGET}")
-    if k in ctx._letter_vectors:
-        return ctx._letter_vectors[k]
-    arr = np.array(ctx.algebra.masks(), dtype=np.uint64)
-    idx = np.arange(total, dtype=np.int64)
-    vecs = [arr[(idx // (a ** (k - 1 - i))) % a] for i in range(k)]
-    ctx._letter_vectors[k] = vecs
-    return vecs
+    # Entry i of letter j's vector is the cell mask that assignment i gives
+    # letter j, assignments in ascending order of their algebra indices; the
+    # algebra lists its members in ascending order of their world masks.
+    vecs = ctx._letter_vectors.get(k)
+    if vecs is None:
+        worlds = _union_table(algebra.cells)
+        members = np.array(sorted(range(a), key=worlds.__getitem__), dtype=np.uint64)
+        idx = np.arange(a ** k, dtype=np.int64)
+        vecs = ctx._letter_vectors[k] = [
+            members[(idx // (a ** (k - 1 - i))) % a] for i in range(k)]
+    full = np.uint64((1 << len(algebra.cells)) - 1)
 
+    def box(dir, x):
+        return full ^ ctx.cell_table(dir)[full ^ x]
 
-def _box_vector(succ_masks: tuple[int, ...], x: np.ndarray) -> np.ndarray:
-    """Box of each world-set mask in x, given the successor masks."""
-    out = np.zeros(x.shape, dtype=np.uint64)
-    for w, mask in enumerate(succ_masks):
-        sm = np.uint64(mask)
-        out |= ((x & sm) == sm).astype(np.uint64) << np.uint64(w)
-    return out
+    def dia(dir, x):
+        return ctx.cell_table(dir)[x]
 
-
-def _sweep_vectorised(ctx: _MlContext, f: Formula, letters: list[str]) -> MlOutcome:
-    m = ctx.model
-    n = m.frame.n
-    full = np.uint64((1 << n) - 1)
-    vecs = _assignment_vectors(ctx, len(letters))
-    assert vecs is not None
-    env = dict(zip(letters, vecs))
-    memo: dict[Formula, np.ndarray] = {}
-
-    if n <= _BOX_TABLE_WORLDS:
-        def box(dir, x):
-            return ctx.box_table(dir)[x]
-    else:
-        def box(dir, x):
-            return _box_vector(m.frame.masks(dir), x)
-
-    def go(g: Formula) -> np.ndarray:
-        hit = memo.get(g)
-        if hit is not None:
-            return hit
-        if isinstance(g, Atom):
-            out = env[g.name]
-        elif isinstance(g, Top):
-            out = np.full(vecs[0].shape, full, dtype=np.uint64)
-        elif isinstance(g, Bot):
-            out = np.zeros(vecs[0].shape, dtype=np.uint64)
-        elif isinstance(g, Not):
-            out = full ^ go(g.sub)
-        elif isinstance(g, And):
-            out = go(g.left) & go(g.right)
-        elif isinstance(g, Or):
-            out = go(g.left) | go(g.right)
-        elif isinstance(g, Imp):
-            out = (full ^ go(g.left)) | go(g.right)
-        elif isinstance(g, Iff):
-            out = full ^ (go(g.left) ^ go(g.right))
-        elif isinstance(g, Box):
-            out = box(g.dir, go(g.sub))
-        else:
-            out = full ^ box(g.dir, full ^ go(g.sub))
-        memo[g] = out
-        return out
-
-    res = go(f)
-    ok = ((res >> np.uint64(m.point)) & np.uint64(1)).astype(bool)
+    res = _evaluate(f, dict(zip(letters, vecs)), full, box, dia)
+    point = next(i for i, cell in enumerate(algebra.cells)
+                 if (cell >> ctx.model.point) & 1)
+    ok = ((res >> np.uint64(point)) & np.uint64(1)).astype(bool)
     if ok.all():
         return MlOutcome(True, how="exact sweep")
     bad = int(np.argmin(ok))
-    witness = {letter: WorldSet(n, int(vecs[i][bad]))
+    witness = {letter: algebra.sets[bad // a ** (k - 1 - i) % a]
                for i, letter in enumerate(letters)}
     return MlOutcome(False, witness=witness, how="exact sweep")
-
-
-def _sweep_plain(ctx: _MlContext, f: Formula, letters: list[str]) -> MlOutcome:
-    m = ctx.model
-    masks = ctx.algebra.masks()
-    a = len(masks)
-    k = len(letters)
-    if a ** k > ASSIGNMENT_BUDGET:
-        raise BudgetExceeded(f"{a}^{k} assignments exceeds budget {ASSIGNMENT_BUDGET}")
-    idx = [0] * k
-    while True:
-        env = {letters[i]: masks[idx[i]] for i in range(k)}
-        if not (eval_mask(m, f, env=env) >> m.point) & 1:
-            witness = {letters[i]: WorldSet(m.frame.n, masks[idx[i]])
-                       for i in range(k)}
-            return MlOutcome(False, witness=witness, how="exact sweep")
-        pos = k - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < a:
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return MlOutcome(True, how="exact sweep")
 
 
 def _singleton_env(m: PointedModel, letter: str) -> dict[str, int]:
@@ -490,10 +449,13 @@ def ml_status(m: PointedModel, f: Formula) -> MlOutcome:
     certified reasoning (class validity for membership, verified refuting
     substitutions for non-membership)."""
     ctx = _ml_context(m)
-    hit = ctx.ml_cache.get(f)
-    if hit is not None:
-        return hit
-    out = _ml_status_uncached(ctx, f)
+    try:
+        hit = ctx.ml_cache.get(f)
+        if hit is not None:
+            return hit
+        out = _ml_status_uncached(ctx, f)
+    except RecursionError:
+        raise _too_deep() from None
     if len(ctx.ml_cache) >= _ML_CACHE_LIMIT:
         ctx.ml_cache.clear()
     ctx.ml_cache[f] = out
@@ -508,9 +470,7 @@ def _ml_status_uncached(ctx: _MlContext, f: Formula) -> MlOutcome:
         return MlOutcome(bool(member), how="closed formula")
     if ctx.algebra is not None:
         try:
-            if m.frame.n <= 60:
-                return _sweep_vectorised(ctx, f, letters)
-            return _sweep_plain(ctx, f, letters)
+            return _sweep(ctx, f, letters)
         except BudgetExceeded:
             pass
 

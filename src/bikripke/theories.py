@@ -18,6 +18,11 @@ Invalid verdicts carry a countermodel found by the canonical search (frame
 size ascending, edge sets lexicographic, valuations lexicographic, points
 ascending) so reported countermodels are reproducible byte for byte.
 
+Every decider compiles the formula once to a node list and runs it with
+_run over its own models: one bit per PL assignment, n-bit masks per S5
+colour subset, world masks per candidate countermodel, and bool columns
+over the rows of the type space.
+
 Every verdict goes through one bounded verdict store keyed by the oriented
 formula, so a DOWN formula and its UP twin share one record.  A record holds
 per-theory verdict bits, filled only for the theories asked about, and the
@@ -39,7 +44,6 @@ from .errors import BudgetExceeded, MixedDirections, SEARCH_BUDGET
 from .formula import (
     DOWN,
     UP,
-    And,
     Atom,
     Bot,
     Box,
@@ -49,14 +53,13 @@ from .formula import (
     Iff,
     Imp,
     Not,
-    Or,
     Top,
     _orient_to,
     directions,
     letters as formula_letters,
 )
 from .frame import Frame, PointedModel, cluster, single_point
-from .semantics import FragmentReport
+from .semantics import FragmentReport, _too_deep, _union_table
 
 
 class Theory(Enum):
@@ -145,8 +148,9 @@ _Compiled = tuple[list[tuple], int, list[str]]
 def _compile(f: Formula) -> _Compiled:
     """Postorder-deduplicated node list; returns (nodes, root index, letters).
 
-    Node forms: ("atom", li) ("top",) ("bot",) ("not", i) ("and", i, j)
-    ("or", i, j) ("imp", i, j) ("iff", i, j) ("box", i) ("dia", i).
+    Every node is a triple (op, i, j): ("atom", li, 0) for letter li,
+    ("top", 0, 0), ("bot", 0, 0), ("not", i, 0), ("box", i, 0), ("dia", i, 0)
+    and ("and" | "or" | "imp" | "iff", i, j) over earlier nodes i and j.
     Direction is erased: callers pass oriented formulas.
     """
     lets = sorted(formula_letters(f))
@@ -158,66 +162,52 @@ def _compile(f: Formula) -> _Compiled:
         hit = index.get(g)
         if hit is not None:
             return hit
-        if isinstance(g, Atom):
-            node = ("atom", lidx[g.name])
-        elif isinstance(g, Top):
-            node = ("top",)
-        elif isinstance(g, Bot):
-            node = ("bot",)
-        elif isinstance(g, Not):
-            node = ("not", go(g.sub))
-        elif isinstance(g, Box):
-            node = ("box", go(g.sub))
-        elif isinstance(g, Dia):
-            node = ("dia", go(g.sub))
+        kind = type(g)              # a node's op is its class name
+        if kind is Atom:
+            node = ("atom", lidx[g.name], 0)
+        elif kind is Top or kind is Bot:
+            node = (kind.__name__.lower(), 0, 0)
+        elif kind is Not or kind is Box or kind is Dia:
+            node = (kind.__name__.lower(), go(g.sub), 0)
         else:
-            kind = {And: "and", Or: "or", Imp: "imp", Iff: "iff"}[type(g)]
-            node = (kind, go(g.left), go(g.right))
+            node = (kind.__name__.lower(), go(g.left), go(g.right))
         index[g] = len(nodes)
         nodes.append(node)
         return index[g]
 
-    root = go(f)
-    return nodes, root, lets
+    try:
+        return nodes, go(f), lets
+    finally:
+        del go      # a self-referring closure, as in semantics._evaluate
 
 
-def _eval_nodes(nodes: list[tuple], succ: tuple[int, ...], n: int,
-                letter_masks: list[int]) -> list[int]:
-    """Evaluate all nodes over an n-world frame with the given valuation."""
-    full = (1 << n) - 1
-    vals: list[int] = []
-    for node in nodes:
-        op = node[0]
+def _run(nodes: list[tuple], atoms, full, box, dia) -> list:
+    """Values of all nodes, in order, on a carrier closed under ^ & |:
+    atoms[li] is letter li's value, full the value of ⊤, and box and dia are
+    tables of the modal operators indexed by the child's value."""
+    vals: list = []
+    push = vals.append
+    for op, i, j in nodes:      # the most frequent kinds first
         if op == "atom":
-            v = letter_masks[node[1]]
-        elif op == "top":
-            v = full
-        elif op == "bot":
-            v = 0
-        elif op == "not":
-            v = full ^ vals[node[1]]
-        elif op == "and":
-            v = vals[node[1]] & vals[node[2]]
-        elif op == "or":
-            v = vals[node[1]] | vals[node[2]]
-        elif op == "imp":
-            v = (full ^ vals[node[1]]) | vals[node[2]]
-        elif op == "iff":
-            v = full ^ (vals[node[1]] ^ vals[node[2]])
+            push(atoms[i])
         elif op == "box":
-            x = vals[node[1]]
-            notx = full ^ x
-            v = 0
-            for w in range(n):
-                if succ[w] & notx == 0:
-                    v |= 1 << w
-        else:  # dia
-            x = vals[node[1]]
-            v = 0
-            for w in range(n):
-                if succ[w] & x:
-                    v |= 1 << w
-        vals.append(v)
+            push(box[vals[i]])
+        elif op == "dia":
+            push(dia[vals[i]])
+        elif op == "not":
+            push(full ^ vals[i])
+        elif op == "imp":
+            push((full ^ vals[i]) | vals[j])
+        elif op == "and":
+            push(vals[i] & vals[j])
+        elif op == "or":
+            push(vals[i] | vals[j])
+        elif op == "top":
+            push(full)
+        elif op == "bot":
+            push(full ^ full)
+        else:
+            push(full ^ vals[i] ^ vals[j])
     return vals
 
 
@@ -227,37 +217,15 @@ def _eval_nodes(nodes: list[tuple], succ: tuple[int, ...], n: int,
 
 def _pl_verdict(compiled: _Compiled, want_cm: bool) -> Verdict:
     nodes, root, lets = compiled
-    k = len(lets)
-    # Boxes and diamonds collapse to their argument on a single reflexive
-    # point; letter masks are single-bit.
-    for assign in range(1 << k):
-        vals: list[int] = []
-        for node in nodes:
-            op = node[0]
-            if op == "atom":
-                v = (assign >> node[1]) & 1
-            elif op == "top":
-                v = 1
-            elif op == "bot":
-                v = 0
-            elif op == "not":
-                v = 1 ^ vals[node[1]]
-            elif op == "and":
-                v = vals[node[1]] & vals[node[2]]
-            elif op == "or":
-                v = vals[node[1]] | vals[node[2]]
-            elif op == "imp":
-                v = (1 ^ vals[node[1]]) | vals[node[2]]
-            elif op == "iff":
-                v = 1 ^ (vals[node[1]] ^ vals[node[2]])
-            else:  # box/dia collapse
-                v = vals[node[1]]
-            vals.append(v)
-        if not vals[root]:
+    # Assignments in ascending order with letter i as bit i: letter 0 varies
+    # fastest, so each product tuple is read backwards.  Box and diamond on
+    # one reflexive point are the identity on one bit.
+    for bits in itertools.product((0, 1), repeat=len(lets)):
+        atoms = bits[::-1]
+        if not _run(nodes, atoms, 1, (0, 1), (0, 1))[root]:
             if not want_cm:
                 return _INVALID
-            val = {lets[i]: ((assign >> i) & 1) for i in range(k)}
-            cm = PointedModel(single_point(), val, 0)
+            cm = PointedModel(single_point(), dict(zip(lets, atoms)), 0)
             return Verdict(INVALID, countermodel=cm)
     return _VALID
 
@@ -265,6 +233,21 @@ def _pl_verdict(compiled: _Compiled, want_cm: bool) -> Verdict:
 # ---------------------------------------------------------------------------
 # S5
 # ---------------------------------------------------------------------------
+
+def _subsets(pool: int, n: int):
+    """The n-element subsets of range(pool) in lexicographic order, as
+    itertools.combinations lists them, but without building the pool; one
+    list is yielded and updated in place."""
+    c = list(range(n))
+    while True:
+        yield c
+        i = n - 1
+        while i >= 0 and c[i] == pool - n + i:
+            i -= 1
+        if i < 0:
+            return
+        c[i:] = range(c[i] + 1, c[i] + 1 + n - i)
+
 
 def _s5_verdict(compiled: _Compiled, want_cm: bool) -> Verdict:
     nodes, root, lets = compiled
@@ -276,42 +259,25 @@ def _s5_verdict(compiled: _Compiled, want_cm: bool) -> Verdict:
     # letter profiles; sweeping color subsets in ascending lexicographic
     # order visits the canonical first countermodel of the full search.
     for n in range(1, bound + 1):
-        for colors in itertools.combinations(range(ncolors), n):
-            full = (1 << n) - 1
-            vals: list[int] = []
-            for node in nodes:
-                op = node[0]
-                if op == "atom":
-                    li = node[1]
-                    v = sum(1 << i for i, c in enumerate(colors) if (c >> li) & 1)
-                elif op == "top":
-                    v = full
-                elif op == "bot":
-                    v = 0
-                elif op == "not":
-                    v = full ^ vals[node[1]]
-                elif op == "and":
-                    v = vals[node[1]] & vals[node[2]]
-                elif op == "or":
-                    v = vals[node[1]] | vals[node[2]]
-                elif op == "imp":
-                    v = (full ^ vals[node[1]]) | vals[node[2]]
-                elif op == "iff":
-                    v = full ^ (vals[node[1]] ^ vals[node[2]])
-                elif op == "box":
-                    v = full if vals[node[1]] == full else 0
-                else:  # dia
-                    v = full if vals[node[1]] else 0
-                vals.append(v)
-            res = vals[root]
+        full = (1 << n) - 1
+        # Box is full on full and empty elsewhere, diamond empty on empty and
+        # full elsewhere.  Their 2^n entries cost less than the at least
+        # 2^(n-1) - 1 smaller subsets swept before this size is reached.
+        box = [0] * full + [full]
+        dia = [0] + [full] * full
+        # One-world clusters, the most swept, come from zip: the same order
+        # without the generator's cost per subset.
+        for colors in zip(range(ncolors)) if n == 1 else _subsets(ncolors, n):
+            atoms = [0] * k
+            for i, c in enumerate(colors):
+                for li in range(k):
+                    atoms[li] |= ((c >> li) & 1) << i
+            res = _run(nodes, atoms, full, box, dia)[root]
             if res != full:
                 if not want_cm:
                     return _INVALID
                 point = (((full ^ res) & -(full ^ res)).bit_length()) - 1
-                val = {lets[li]: sum(1 << i for i, c in enumerate(colors)
-                                     if (c >> li) & 1)
-                       for li in range(k)}
-                cm = PointedModel(cluster(n), val, point)
+                cm = PointedModel(cluster(n), dict(zip(lets, atoms)), point)
                 return Verdict(INVALID, countermodel=cm)
     return _VALID
 
@@ -330,33 +296,21 @@ def _type_space(compiled: _Compiled):
     (reflexivity), and a child implies its diamond.
     """
     nodes, root, _ = compiled
-    free = [i for i, nd in enumerate(nodes) if nd[0] in ("atom", "box", "dia")]
-    b = len(free)
+    # The free nodes become the letters of a Boolean formula over the rows.
+    boolean = []
+    b = 0
+    for nd in nodes:
+        if nd[0] in ("atom", "box", "dia"):
+            boolean.append(("atom", b, 0))
+            b += 1
+        else:
+            boolean.append(nd)
     if b > 22:
         raise BudgetExceeded(f"type space has 2^{b} candidate rows")
     rows = 1 << b
     bits = np.arange(rows, dtype=np.uint32)
-    cols: list[np.ndarray] = [None] * len(nodes)  # type: ignore[list-item]
-    for pos, i in enumerate(free):
-        cols[i] = ((bits >> pos) & 1).astype(bool)
-    for i, nd in enumerate(nodes):
-        op = nd[0]
-        if op in ("atom", "box", "dia"):
-            continue
-        if op == "top":
-            cols[i] = np.ones(rows, dtype=bool)
-        elif op == "bot":
-            cols[i] = np.zeros(rows, dtype=bool)
-        elif op == "not":
-            cols[i] = ~cols[nd[1]]
-        elif op == "and":
-            cols[i] = cols[nd[1]] & cols[nd[2]]
-        elif op == "or":
-            cols[i] = cols[nd[1]] | cols[nd[2]]
-        elif op == "imp":
-            cols[i] = ~cols[nd[1]] | cols[nd[2]]
-        else:
-            cols[i] = cols[nd[1]] == cols[nd[2]]
+    cols = _run(boolean, [((bits >> pos) & 1).astype(bool) for pos in range(b)],
+                np.ones(rows, dtype=bool), None, None)
     M = np.column_stack(cols) if nodes else np.zeros((rows, 0), dtype=bool)
     boxes = [(i, nd[1]) for i, nd in enumerate(nodes) if nd[0] == "box"]
     dias = [(i, nd[1]) for i, nd in enumerate(nodes) if nd[0] == "dia"]
@@ -532,13 +486,16 @@ def _search_countermodel(compiled: _Compiled, directed_only: bool,
             if directed_only and not directed:
                 continue
             full = (1 << n) - 1
+            # Diamond of a set: the union of its worlds' predecessor masks.
+            dia = _union_table([sum(((row >> v) & 1) << w for w, row in enumerate(rows))
+                                for v in range(n)])
+            box = [full ^ d for d in reversed(dia)]
             for v in range(1 << (k * n)):
                 used += 1
                 if used > budget:
                     return None, True
                 masks = [(v >> (i * n)) & full for i in range(k)]
-                vals = _eval_nodes(nodes, rows, n, masks)
-                res = vals[root]
+                res = _run(nodes, masks, full, box, dia)[root]
                 if res != full:
                     point = ((full ^ res) & -(full ^ res)).bit_length() - 1
                     frame = Frame(n, rows)
@@ -674,21 +631,24 @@ def decide(t: Theory, f: Formula, budget: int = SEARCH_BUDGET,
     only when a countermodel is requested but not found within the search
     budget."""
     global _hits, _misses
-    g, rec = _lookup(f)
-    if rec & _KNOWN[t]:
-        if rec & _HOLDS[t]:
-            _hits += 1
-            return _VALID
-        if not want_countermodel:
-            _hits += 1
-            return _INVALID
-        hit = _store.get((g, t, budget))
-        if hit is not None:
-            _hits += 1
-            return hit
-    _misses += 1
-    rec, cm = _settle(f, g, rec, _KNOWN[t], t if want_countermodel else None,
-                      budget)
+    try:
+        g, rec = _lookup(f)
+        if rec & _KNOWN[t]:
+            if rec & _HOLDS[t]:
+                _hits += 1
+                return _VALID
+            if not want_countermodel:
+                _hits += 1
+                return _INVALID
+            hit = _store.get((g, t, budget))
+            if hit is not None:
+                _hits += 1
+                return hit
+        _misses += 1
+        rec, cm = _settle(f, g, rec, _KNOWN[t], t if want_countermodel else None,
+                          budget)
+    except RecursionError:
+        raise _too_deep() from None
     if rec & _HOLDS[t]:
         return _VALID
     return cm if want_countermodel else _INVALID

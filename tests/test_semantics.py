@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from bikripke import semantics
 from bikripke.errors import BadWorldIndex, BudgetExceeded
 from bikripke.formula import DOWN, UP, Bot, Box, Top, letters, parse, substitute
-from bikripke.frame import (Frame, PointedModel, chain, cluster, combo_frame,
+from bikripke.frame import (Frame, PointedModel, WorldSet, chain, cluster, combo_frame,
                             make_frame, powerset_frame, single_point)
 from bikripke.semantics import (
     definable_algebra,
@@ -258,35 +259,117 @@ class TestMultiverseTruth:
                 assert inside == 0 or inside == comp
 
 
+def box_vector(succ_masks, x: np.ndarray) -> np.ndarray:
+    """Loop reference: box of each world-set mask in x (at most 64 worlds),
+    given the successor masks."""
+    out = np.zeros(x.shape, dtype=np.uint64)
+    for w, mask in enumerate(succ_masks):
+        sm = np.uint64(mask)
+        out |= ((x & sm) == sm).astype(np.uint64) << np.uint64(w)
+    return out
+
+
+def sweep_plain(m, f):
+    """World-level reference of the exact sweep: every assignment of algebra
+    members to the letters of f, in ascending order, model-checked one by one;
+    returns (status, witness)."""
+    masks = definable_algebra(m).masks()
+    ls = sorted(letters(f))
+    for combo in itertools.product(range(len(masks)), repeat=len(ls)):
+        env = {l: masks[i] for l, i in zip(ls, combo)}
+        if not (eval_mask(m, f, env=env) >> m.point) & 1:
+            return False, {l: WorldSet(m.frame.n, x) for l, x in env.items()}
+    return True, None
+
+
+def bisimilar_copies(base: PointedModel, copies: int, r: random.Random) -> PointedModel:
+    """copies disjoint copies of base, where each edge w -> v of base links
+    the copies of w to the copies of v by a random permutation plus random
+    extra links.  Forgetting the copy index is then a bounded morphism in
+    both directions, so the two-way bisimulation cells are base's."""
+    n = base.frame.n
+    rows = [0] * (n * copies)
+    for w in range(n):
+        for v in range(n):
+            if base.frame.up(w, v):
+                perm = r.sample(range(copies), copies)
+                for i in range(copies):
+                    for j in range(copies):
+                        if j == perm[i] or r.random() < 0.2:
+                            rows[i * n + w] |= 1 << (j * n + v)
+    spread = lambda mask: sum(((mask >> w) & 1) << (i * n + w)
+                              for i in range(copies) for w in range(n))
+    return PointedModel(Frame(n * copies, tuple(rows)),
+                        {l: spread(x) for l, x in base.valuation.items()},
+                        r.randrange(copies) * n + base.point)
+
+
 @st.composite
-def _frame_and_sets(draw):
+def _model_and_cells(draw):
     n = draw(st.integers(1, 16))
     rows = tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(n))
-    xs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=16))
-    return Frame(n, rows), xs
+    val = {"p0": draw(st.integers(0, (1 << n) - 1))}
+    return PointedModel(Frame(n, rows), val, 0)
 
 
-class TestBoxTable:
+class TestCellTables:
     @settings(max_examples=60, deadline=None)
-    @given(_frame_and_sets(), st.sampled_from([UP, DOWN]))
-    def test_table_equals_loop(self, case, d):
-        frame, xs = case
-        ctx = semantics._MlContext(PointedModel(frame, {}, 0))
-        x = np.array(xs, dtype=np.uint64)
-        table = ctx.box_table(d)[x].tolist()
-        assert table == semantics._box_vector(frame.masks(d), x).tolist()
-        assert table == [semantics._box_mask(frame, d, v) for v in xs]
+    @given(_model_and_cells(), st.sampled_from([UP, DOWN]))
+    def test_tables_equal_loop(self, m, d):
+        ctx = semantics._MlContext(m)
+        cells = ctx.algebra.cells
+        full = (1 << len(cells)) - 1
+        table = ctx.cell_table(d)
+        worlds = [sum(c for i, c in enumerate(cells) if (x >> i) & 1)
+                  for x in range(full + 1)]
+        xs = np.array(worlds, dtype=np.uint64)
+        loop = box_vector(m.frame.masks(d), xs).tolist()
+        for x in range(full + 1):
+            box = full ^ int(table[full ^ x])
+            assert worlds[box] == loop[x] == semantics._box_mask(m.frame, d, worlds[x])
+            assert worlds[int(table[x])] == semantics._dia_mask(m.frame, d, worlds[x])
 
-    def test_sweep_same_with_and_without_table(self, monkeypatch):
-        def run():
-            m = combo_frame("cluster_below_bs", 2, 2, 1)
-            frag = ml_fragment(m, 1, 5, {UP, DOWN})
-            return [(f, ml_status(m, f).status, ml_status(m, f).witness)
-                    for f in frag.formulas]
+    def test_sweep_same_as_world_level_loop(self):
+        # The old world-level sweep: letters range over algebra members as
+        # world masks, and box is the per-world loop.
+        m = combo_frame("cluster_below_bs", 2, 2, 1)
+        algebra = definable_algebra(m)
+        full = np.uint64((1 << m.frame.n) - 1)
+        vec = np.array(algebra.masks(), dtype=np.uint64)
+        box = lambda d, x: box_vector(m.frame.masks(d), x)
+        dia = lambda d, x: full ^ box(d, full ^ x)
+        frag = ml_fragment(m, 1, 5, {UP, DOWN})
+        for f in frag.formulas:
+            if not letters(f):
+                continue
+            (letter,) = letters(f)
+            res = semantics._evaluate(f, {letter: vec}, full, box, dia)
+            ok = (res >> np.uint64(m.point)) & np.uint64(1)
+            out = ml_status(m, f)
+            assert (out.status, out.how) == (bool(ok.all()), "exact sweep"), f
+            if not ok.all():
+                assert out.witness == {letter: algebra.sets[int(np.argmin(ok))]}, f
 
-        with_table = run()
-        monkeypatch.setattr(semantics, "_BOX_TABLE_WORLDS", 0)
-        assert run() == with_table
+
+class TestQuotientSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(17, 100))
+    @example(1, 60)
+    @example(2, 70)
+    @example(3, 100)
+    def test_bisimilar_copies_equal_world_reference(self, seed, worlds):
+        r = random.Random(seed)
+        base = random_model(r, max_n=8, letters=2)
+        m = bisimilar_copies(base, max(2, worlds // base.frame.n), r)
+        algebra = semantics._ml_context(m).algebra
+        assert algebra is not None and len(algebra.cells) <= 8
+        for _ in range(6):
+            f = random_formula(r, 7, letters=1)
+            if not letters(f):
+                continue
+            out = ml_status(m, f)
+            assert out.how == "exact sweep"
+            assert (out.status, out.witness) == sweep_plain(m, f), f
 
 
 def loop_box(frame, d, x):
@@ -443,3 +526,31 @@ class TestConstantSubstitution:
         from bikripke.cli import thm5_model
         out = ml_status(thm5_model(), parse("[u]p0 -> [u][u]p0"))
         assert out.status is True
+
+
+def _deep_formula(depth: int):
+    from bikripke.formula import Atom, Not
+    f = Atom("p0")
+    for _ in range(depth):
+        f = Not(Box(UP, f))
+    return f
+
+
+class TestDeepFormulas:
+    """Formulas built in code can nest past the recursion limit; the entry
+    points report that as a budget, not as a RecursionError."""
+
+    def test_eval_mask(self):
+        m = chain2_model()
+        with pytest.raises(BudgetExceeded):
+            eval_mask(m, _deep_formula(3000))
+        with pytest.raises(BudgetExceeded):
+            eval_formula(m, _deep_formula(3000))
+
+    def test_ml_status(self):
+        m = chain2_model()
+        with pytest.raises(BudgetExceeded):
+            ml_status(m, _deep_formula(3000))
+        with pytest.raises(BudgetExceeded):
+            ml_member(m, _deep_formula(3000))
+        assert ml_status(m, _deep_formula(3)).status is not None

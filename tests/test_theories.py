@@ -398,3 +398,102 @@ class TestVerdictStore:
             for t in (S4_2, S4):
                 assert is_valid(t, f) == _fresh_valid(t, f), (t, f)
             assert verdict_store_stats()["misses"] == before["misses"]
+
+
+def reference_countermodel(t, f):
+    """The canonical first countermodel of the UP-oriented f, found by plain
+    enumeration and the naive oracle: PL assignments ascending (letter i is
+    bit i); S5 universal models by size, colour combination and point; S4
+    and S4.2 over theories._rt_frames(n), valuations in lexicographic order
+    (letter i's mask is bits i*n .. i*n+n-1) and points ascending."""
+    from bikripke.frame import Frame, cluster
+    ls = sorted(letters(f))
+    k = len(ls)
+    if t is PL:
+        for assign in range(1 << k):
+            m = PointedModel(single_point(),
+                             {l: (assign >> i) & 1 for i, l in enumerate(ls)}, 0)
+            if not naive_truth(m, 0, f):
+                return m
+        return None
+    if t is S5:
+        for n in range(1, min(len(subformulas(f)) + 1, 1 << k) + 1):
+            for colors in itertools.combinations(range(1 << k), n):
+                val = {l: sum(1 << w for w, c in enumerate(colors) if (c >> i) & 1)
+                       for i, l in enumerate(ls)}
+                for point in range(n):
+                    if not naive_truth(PointedModel(cluster(n), val, point), point, f):
+                        return PointedModel(cluster(n), val, point)
+        return None
+    for n in range(1, theories._MAX_SEARCH_WORLDS + 1):
+        for rows, directed in theories._rt_frames(n):
+            if t is S4_2 and not directed:
+                continue
+            for v in range(1 << (k * n)):
+                val = {l: (v >> (i * n)) & ((1 << n) - 1) for i, l in enumerate(ls)}
+                m = PointedModel(Frame(n, rows), val, 0)
+                for point in range(n):
+                    if not naive_truth(m, point, f):
+                        return PointedModel(Frame(n, rows), val, point)
+    return None
+
+
+class TestCanonicalCountermodels:
+    """decide's countermodels equal the reference search's byte for byte."""
+
+    @pytest.mark.parametrize("t", [PL, S5])
+    def test_pl_and_s5_two_letters(self, t, empty_store):
+        for f in enumerate_formulas(2, 5, {UP}):
+            v = decide(t, f)
+            ref = reference_countermodel(t, f)
+            assert v.is_valid == (ref is None), f
+            if ref is not None:
+                assert dumps(v.countermodel) == dumps(ref), f
+
+    @pytest.mark.parametrize("text", [
+        "[u]p0 | [u]~p0 | [u]p1 | [u]~p1",
+        "[u]p0 | [u]~p0 | [u]p1 | [u]~p1 | [u]p2 | [u]~p2",
+        "<u>(p0 & ~p1) & <u>(p1 & ~p0) -> <u>(p0 <-> p1)",
+    ])
+    def test_s5_countermodels_of_several_worlds(self, text, empty_store):
+        # Two-colour clusters {00, 11} and {01, 10} both refute the first
+        # formula; the lexicographic order picks the first.
+        f = parse(text)
+        v = decide(S5, f)
+        assert v.countermodel.frame.n > 1
+        assert dumps(v.countermodel) == dumps(reference_countermodel(S5, f))
+
+    @pytest.mark.parametrize("t", [S4, S4_2])
+    def test_s4_and_s42_one_letter(self, t, empty_store):
+        for f in enumerate_formulas(1, 5, {UP}):
+            v = decide(t, f)
+            if v.is_invalid:
+                assert dumps(v.countermodel) == dumps(reference_countermodel(t, f)), f
+
+
+class TestResourceBounds:
+    def test_s5_first_subset_allocates_no_colour_pool(self):
+        import tracemalloc
+        from bikripke.formula import And
+        f = Atom("x0")
+        for i in range(1, 26):
+            f = And(f, Atom(f"x{i}"))
+        tracemalloc.start()
+        try:
+            v = decide(S5, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v.countermodel.frame.n == 1
+        assert v.countermodel.valuation == {f"x{i}": 0 for i in range(26)}
+        assert peak < 4 << 20
+
+    def test_deep_formula_built_in_code_exceeds_budget(self):
+        from bikripke.errors import BudgetExceeded
+        from bikripke.formula import Not
+        f = Atom("p")
+        for _ in range(3000):
+            f = Not(Box(UP, f))
+        for t in Theory:
+            with pytest.raises(BudgetExceeded):
+                decide(t, f)
