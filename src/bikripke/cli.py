@@ -111,11 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide validity over a modal theory")
     p.add_argument("--theory", choices=sorted(_THEORIES), required=True)
     p.add_argument("--budget", type=int, default=SEARCH_BUDGET,
-                   help="countermodel search budget in evaluated models "
-                        f"(default {SEARCH_BUDGET}; the search covers frames "
-                        "of up to 5 worlds, which with the default budget "
-                        "decides every two-letter formula of size <= 7 "
-                        "without Unknown)")
+                   help=f"search budget in evaluated models (default {SEARCH_BUDGET}) "
+                        "of the S4/S4.2 countermodel search over frames of up to 5 "
+                        "worlds (the default decides every two-letter formula of "
+                        "size <= 7 without Unknown) and of the S5 colour sweep, "
+                        "in colour subsets (past it, S5 exits 4)")
     p.add_argument("formula")
 
     p = sub.add_parser("check", help="model check a formula at a file's point")
@@ -454,14 +454,7 @@ def _cmd_ml(args) -> int:
     rep.add("frame", model.frame.name)
     rep.add("point", model.point)
     for d in dirs:
-        frag = ml_fragment(model, args.letters, args.size, {d})
-        cls = classify(frag)
-        rep.add("direction", d.name.lower())
-        rep.add("fragment_size", frag.fragment_size)
-        rep.add("fragment_unknown", len(frag.unknown))
-        rep.add("matches", cls.matches_label())
-        for t in sorted(cls.separators, key=lambda t: t.value):
-            rep.add(f"separator.{t.value}", print_formula(cls.separators[t]))
+        _fragment_block(rep, model, d, args.letters, args.size)
     rep.emit(args.out)
     return 0
 

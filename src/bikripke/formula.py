@@ -1,9 +1,9 @@
 """Bimodal propositional language.
 
-AST constructors, a recursive-descent parser for the ASCII grammar, a
-canonical minimal-parenthesis printer, simultaneous substitution, structural
-queries, and the canonical size-lexicographic enumeration used for fragment
-sweeps.
+Interned AST constructors, a recursive-descent parser for the ASCII grammar,
+a canonical minimal-parenthesis printer, simultaneous substitution,
+structural queries, and the canonical size-lexicographic enumeration used
+for fragment sweeps.
 
 Grammar (whitespace insensitive)::
 
@@ -24,6 +24,7 @@ MAX_NESTING (100) deep are refused with FormulaSyntaxError.
 from __future__ import annotations
 
 import re
+import weakref
 from enum import Enum
 from typing import Iterator, Mapping
 
@@ -46,26 +47,21 @@ DOWN = Direction.DOWN
 
 
 class Formula:
-    """Base class of all formula nodes.  Instances are immutable; equality and
-    hashing are structural."""
+    """Base class of all formula nodes.  Instances are immutable and
+    interned: equal formulas are one object, so equality is identity, while
+    hashes stay structural, which keeps the order of sets and dicts of
+    formulas independent of addresses.  A node computes its letters, its
+    direction bits (1 UP, 2 DOWN) and its depth from its children, once; a
+    node with a DOWN operator keeps its UP twin once asked (_orient_to)."""
 
-    __slots__ = ("_hash",)
-
-    def _key(self) -> tuple:
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return False
-        return self._hash == other._hash and self._key() == other._key()
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
+    __slots__ = ("_hash", "_letters", "_dirs", "_depth", "_up", "__weakref__")
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        # Unpickling and copying rebuild the interned node from its text.
+        return parse, (print_formula(self),)
 
     def __repr__(self):
         return f"Formula({print_formula(self)!r})"
@@ -74,61 +70,97 @@ class Formula:
         return print_formula(self)
 
 
+# The live nodes, each under a weak reference, so a node lives only as long
+# as formulas in use hold it.  A letter is keyed by its name, ⊤ and ⊥ by -1
+# and -2, and a compound node by one int that packs its children's ids (each
+# below 2^64) above a 3-bit tag of its class and direction (_TAGS): no tuple
+# and no id objects per node.  Child ids identify the children while the node lives, since it
+# holds them, and a dying node's reference removes its entry before its
+# children go.
+_nodes: dict = {}
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref) -> None:
+    if _nodes.get(ref.key) is ref:      # else a new node took the key
+        del _nodes[ref.key]
+
+
+def _live(key):
+    ref = _nodes.get(key)
+    return None if ref is None else ref()
+
+
+def _new(cls, key, h: int, letters: frozenset, dirs: int, depth: int):
+    """A fresh node of cls filed under key; the caller sets its fields."""
+    f = object.__new__(cls)
+    f._hash = h
+    f._letters = letters
+    f._dirs = dirs
+    f._depth = depth
+    f._up = None
+    ref = _nodes[key] = _Ref(f, _forget)
+    ref.key = key
+    return f
+
+
 class Atom(Formula):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        if not re.fullmatch(r"[a-z][a-z0-9]*", name) or name in ("true", "false"):
-            raise ValueError(f"bad letter identifier: {name!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("Atom", name)))
-
-    def _key(self):
-        return (self.name,)
+    def __new__(cls, name: str):
+        f = _live(name) if type(name) is str else None
+        if f is None:
+            if not re.fullmatch(r"[a-z][a-z0-9]*", name) or name in ("true", "false"):
+                raise ValueError(f"bad letter identifier: {name!r}")
+            f = _new(cls, name, hash(("Atom", name)), frozenset((name,)), 0, 0)
+            f.name = name
+        return f
 
 
 class Top(Formula):
     __slots__ = ()
 
-    def __init__(self):
-        object.__setattr__(self, "_hash", hash("Top"))
-
-    def _key(self):
-        return ()
+    def __new__(cls):
+        return _live(-1) or _new(cls, -1, hash("Top"), frozenset(), 0, 0)
 
 
 class Bot(Formula):
     __slots__ = ()
 
-    def __init__(self):
-        object.__setattr__(self, "_hash", hash("Bot"))
-
-    def _key(self):
-        return ()
+    def __new__(cls):
+        return _live(-2) or _new(cls, -2, hash("Bot"), frozenset(), 0, 0)
 
 
 class Not(Formula):
     __slots__ = ("sub",)
 
-    def __init__(self, sub: Formula):
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "_hash", hash(("Not", sub._hash)))
-
-    def _key(self):
-        return (self.sub,)
+    def __new__(cls, sub: Formula):
+        key = id(sub) << 3
+        f = _live(key)
+        if f is None:
+            f = _new(cls, key, hash(("Not", sub._hash)), sub._letters, sub._dirs,
+                     sub._depth + 1)
+            f.sub = sub
+        return f
 
 
 class _Binary(Formula):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "_hash",
-                           hash((type(self).__name__, left._hash, right._hash)))
-
-    def _key(self):
-        return (self.left, self.right)
+    def __new__(cls, left: Formula, right: Formula):
+        key = (id(left) << 64 | id(right)) << 3 | _TAGS[cls]
+        f = _live(key)
+        if f is None:
+            l, r = left._letters, right._letters
+            f = _new(cls, key, hash((cls.__name__, left._hash, right._hash)),
+                     l if r <= l else r if l <= r else l | r,
+                     left._dirs | right._dirs, max(left._depth, right._depth) + 1)
+            f.left = left
+            f.right = right
+        return f
 
 
 class And(_Binary):
@@ -147,28 +179,33 @@ class Iff(_Binary):
     __slots__ = ()
 
 
-class Box(Formula):
+class _Modal(Formula):
     __slots__ = ("dir", "sub")
 
-    def __init__(self, dir: Direction, sub: Formula):
-        object.__setattr__(self, "dir", dir)
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "_hash", hash(("Box", dir, sub._hash)))
+    def __new__(cls, dir: Direction, sub: Formula):
+        if dir is not UP and dir is not DOWN:
+            raise TypeError(f"not a direction: {dir!r}")
+        key = id(sub) << 3 | (_TAGS[cls] + (dir is DOWN))
+        f = _live(key)
+        if f is None:
+            f = _new(cls, key, hash((cls.__name__, dir, sub._hash)), sub._letters,
+                     sub._dirs | (1 if dir is UP else 2), sub._depth + 1)
+            f.dir = dir
+            f.sub = sub
+        return f
 
-    def _key(self):
-        return (self.dir, self.sub)
+
+class Box(_Modal):
+    __slots__ = ()
 
 
-class Dia(Formula):
-    __slots__ = ("dir", "sub")
+class Dia(_Modal):
+    __slots__ = ()
 
-    def __init__(self, dir: Direction, sub: Formula):
-        object.__setattr__(self, "dir", dir)
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "_hash", hash(("Dia", dir, sub._hash)))
 
-    def _key(self):
-        return (self.dir, self.sub)
+# Not's tag is 0, and DOWN adds 1 to a modal tag.  Binary keys are wider
+# than unary ones, so their tags may repeat.
+_TAGS = {And: 0, Or: 1, Imp: 2, Iff: 3, Box: 1, Dia: 3}
 
 
 TRUE = Top()
@@ -224,7 +261,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.open = 0       # prefix operands, parentheses, '->' operands
@@ -328,27 +364,11 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse formula text into its unique AST; raises FormulaSyntaxError,
     also for formulas nested deeper than MAX_NESTING."""
-    parser = _Parser(text)
-    f = parser.parse()
-    # Chains of '&', '|' and '<->' deepen the tree without parser recursion;
-    # a tree has fewer levels than tokens, so short input needs no check.
-    if len(parser.tokens) > MAX_NESTING and _depth(f) > MAX_NESTING:
+    f = _Parser(text).parse()
+    # Chains of '&', '|' and '<->' deepen the tree without parser recursion.
+    if f._depth > MAX_NESTING:
         raise FormulaSyntaxError(f"formula nests more than {MAX_NESTING} deep", 0)
     return f
-
-
-def _depth(f: Formula) -> int:
-    deepest = 0
-    stack = [(f, 0)]
-    while stack:
-        g, d = stack.pop()
-        deepest = max(deepest, d)
-        if isinstance(g, (Not, Box, Dia)):
-            stack.append((g.sub, d + 1))
-        elif isinstance(g, _Binary):
-            stack.append((g.left, d + 1))
-            stack.append((g.right, d + 1))
-    return deepest
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +426,7 @@ def print_formula(f: Formula) -> str:
 
 def letters(f: Formula) -> frozenset[str]:
     """Set of letter identifiers occurring in f."""
-    out: set[str] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Atom):
-            out.add(g.name)
-        elif isinstance(g, (Not, Box, Dia)):
-            stack.append(g.sub)
-        elif isinstance(g, _Binary):
-            stack.append(g.left)
-            stack.append(g.right)
-    return frozenset(out)
+    return f._letters
 
 
 def subformulas(f: Formula) -> frozenset[Formula]:
@@ -463,21 +472,13 @@ def size(f: Formula) -> int:
     return n
 
 
+_DIRECTION_SETS = (frozenset(), frozenset({UP}), frozenset({DOWN}),
+                   frozenset({UP, DOWN}))
+
+
 def directions(f: Formula) -> frozenset[Direction]:
     """Set of modal directions occurring in f."""
-    out: set[Direction] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, (Box, Dia)):
-            out.add(g.dir)
-            stack.append(g.sub)
-        elif isinstance(g, Not):
-            stack.append(g.sub)
-        elif isinstance(g, _Binary):
-            stack.append(g.left)
-            stack.append(g.right)
-    return frozenset(out)
+    return _DIRECTION_SETS[f._dirs]
 
 
 def substitute(f: Formula, s: Substitution) -> Formula:
@@ -507,16 +508,22 @@ def substitute(f: Formula, s: Substitution) -> Formula:
 
 
 def _orient_to(f: Formula, d: Direction) -> Formula:
-    """Rewrite every modal operator of f to direction d."""
-    if isinstance(f, (Atom, Top, Bot)):
+    """Rewrite every modal operator of f to direction d.  A node that turns
+    UP keeps its twin, so turning it UP again is one attribute read."""
+    if not f._dirs & (2 if d is UP else 1):
         return f
-    if isinstance(f, Not):
-        return Not(_orient_to(f.sub, d))
-    if isinstance(f, Box):
-        return Box(d, _orient_to(f.sub, d))
-    if isinstance(f, Dia):
-        return Dia(d, _orient_to(f.sub, d))
-    return type(f)(_orient_to(f.left, d), _orient_to(f.right, d))
+    if d is UP and f._up is not None:
+        return f._up
+    kind = type(f)
+    if kind is Not:
+        out = Not(_orient_to(f.sub, d))
+    elif kind is Box or kind is Dia:
+        out = kind(d, _orient_to(f.sub, d))
+    else:
+        out = kind(_orient_to(f.left, d), _orient_to(f.right, d))
+    if d is UP:
+        f._up = out
+    return out
 
 
 def polarity(f: Formula, letter: str) -> int:

@@ -128,13 +128,10 @@ def _too_deep() -> BudgetExceeded:
                           f"{sys.getrecursionlimit()})")
 
 
-# Frames up to this many worlds compute box and diamond on world masks by
-# the per-world loop.
-_BOX_TABLE_WORLDS = 16
-# Frames with more worlds than _BOX_TABLE_WORLDS and at most this many
-# compute diamond on world masks from byte-sliced tables.  The tables of one
-# direction grow as n^2: 0.56 MB at 256 worlds, 5.6 MB at 1,024 and 20 MB at
-# 2,048, so larger frames keep the per-world loop.
+# Frames of at most this many worlds compute diamond on world masks from
+# byte-sliced tables.  The tables of one direction grow as n^2: 0.56 MB at
+# 256 worlds, 5.6 MB at 1,024 and 20 MB at 2,048, so larger frames keep the
+# per-world loop.
 _DIA_TABLE_WORLDS = 1024
 
 
@@ -168,13 +165,13 @@ def _union_table(masks: list[int]) -> list[int]:
 
 
 def _dia_tables(frame: Frame, dir: Direction) -> list[list[int]] | None:
-    """Diamond tables of the frame along dir, or None outside
-    _BOX_TABLE_WORLDS < n <= _DIA_TABLE_WORLDS.
+    """Diamond tables of the frame along dir, or None above
+    _DIA_TABLE_WORLDS worlds.
 
     Entry [j][b] is the union of the dir-predecessor masks of the worlds
     8j + i for the set bits i of the byte b, so diamond of y is the union of
     the entries its bytes select.  Built on first use, kept in the frame."""
-    if not _BOX_TABLE_WORLDS < frame.n <= _DIA_TABLE_WORLDS:
+    if frame.n > _DIA_TABLE_WORLDS:
         return None
     cache = frame.__dict__.get("_dia_tables")
     if cache is None:
@@ -490,7 +487,7 @@ def _ml_status_uncached(ctx: _MlContext, f: Formula) -> MlOutcome:
             return out
     elif m.frame.props.reflexive:
         # Reflexive up is reflexive down: the PL collapse of f decides.
-        out = _constant_refute(m, f, _orient_to(f, UP))
+        out = _constant_refute(m, f)
         if out is not None:
             return out
     # Last resort: small probe substitutions in every direction.
@@ -508,35 +505,33 @@ def _ml_monomodal(ctx: _MlContext, f: Formula, d: Direction) -> MlOutcome:
     from .theories import PL, S4, S4_2, S5, decide, is_valid
 
     info = ctx.dir_info(d)
-    # The theories file verdicts under the UP twin: orient once for all.
-    g = f if d is UP else _orient_to(f, UP)
     # Truth of a d-monomodal formula at the point only involves the point's
     # d-cone, so validity over the cone's frame class settles membership.
     if info.cone_single:
         # One reflexive world: both point-bit values of every letter are
         # realised by algebra members (full and empty), so membership is
         # exactly PL validity.
-        return MlOutcome(is_valid(PL, g), how="single-world cone")
+        return MlOutcome(is_valid(PL, f), how="single-world cone")
     if ctx.model.frame.props.reflexive:
         # PL is asked with the theories the validity routes below need.
         needed = (((S5,) if info.cone_cluster else ())
                   + ((S4_2,) if info.rt and info.directed else ())
                   + ((S4,) if info.rt else ()))
-        out = _constant_refute(ctx.model, f, g, needed)
+        out = _constant_refute(ctx.model, f, needed)
         if out is not None:
             return out
-    if info.cone_cluster and is_valid(S5, g):
+    if info.cone_cluster and is_valid(S5, f):
         return MlOutcome(True, how="S5 validity on cluster cone")
-    if info.rt and info.directed and is_valid(S4_2, g):
+    if info.rt and info.directed and is_valid(S4_2, f):
         return MlOutcome(True, how="S4.2 validity on directed frame")
-    if info.rt and is_valid(S4, g):
+    if info.rt and is_valid(S4, f):
         return MlOutcome(True, how="S4 validity")
 
     # Refutation: simulate the decider's countermodel through the certified
     # control family, verifying the substitution by model check.
     if info.rt and (info.cone_cluster or info.directed):
         theory = S5 if info.cone_cluster else S4_2
-        verdict = decide(theory, g)
+        verdict = decide(theory, f)
         if verdict.is_invalid and verdict.countermodel is not None:
             cert = info.family_cert
             if cert is not None:
@@ -551,19 +546,19 @@ def _ml_monomodal(ctx: _MlContext, f: Formula, d: Direction) -> MlOutcome:
     return MlOutcome(None, how="unresolved")
 
 
-def _constant_refute(m: PointedModel, f: Formula, g: Formula,
+def _constant_refute(m: PointedModel, f: Formula,
                      also: tuple = ()) -> Optional[MlOutcome]:
     """Refute a PL-invalid f on a reflexive frame by constant substitution.
 
     There box and diamond of ⊤ are ⊤ and of ⊥ are ⊥, so a formula built
     from ⊤ and ⊥ takes its PL value at every world, and f fails at the point
     once each letter is replaced by its value in f's one-world PL
-    countermodel (Hamkins–Löwe 2008).  g is f with every modality turned UP,
-    as the theories file it; the theories in `also` are settled in the same
-    pass.  One model check with full and empty sets verifies the witness."""
+    countermodel (Hamkins–Löwe 2008), which the theories compute for f's UP
+    twin; the theories in `also` are settled in the same pass.  One model
+    check with full and empty sets verifies the witness."""
     from .theories import pl_countermodel
 
-    cm = pl_countermodel(g, *also)
+    cm = pl_countermodel(_orient_to(f, UP), *also)
     if cm is None:
         return None
     full = (1 << m.frame.n) - 1

@@ -137,9 +137,7 @@ def orient(f: Formula) -> tuple[Formula, Direction]:
     dirs = directions(f)
     if len(dirs) > 1:
         raise MixedDirections(f"formula uses both directions: {f}")
-    if not dirs or UP in dirs:
-        return f, (UP if not dirs else UP)
-    return _orient_to(f, UP), DOWN
+    return _orient_to(f, UP), (DOWN if DOWN in dirs else UP)
 
 
 _Compiled = tuple[list[tuple], int, list[str]]
@@ -249,10 +247,13 @@ def _subsets(pool: int, n: int):
         c[i:] = range(c[i] + 1, c[i] + 1 + n - i)
 
 
-def _s5_verdict(compiled: _Compiled, want_cm: bool) -> Verdict:
+def _s5_verdict(compiled: _Compiled, want_cm: bool,
+                budget: int = SEARCH_BUDGET) -> Verdict:
+    """Sweep colour subsets; raises BudgetExceeded past `budget` of them."""
     nodes, root, lets = compiled
     k = len(lets)
     ncolors = 1 << k
+    used = 0
     # One node per distinct subformula, so len(nodes) == |sub(f)|.
     bound = min(len(nodes) + 1, ncolors)
     # A universal model is determined up to duplicate worlds by its set of
@@ -268,6 +269,9 @@ def _s5_verdict(compiled: _Compiled, want_cm: bool) -> Verdict:
         # One-world clusters, the most swept, come from zip: the same order
         # without the generator's cost per subset.
         for colors in zip(range(ncolors)) if n == 1 else _subsets(ncolors, n):
+            used += 1
+            if used > budget:
+                raise BudgetExceeded(f"S5 colour sweep exceeds {budget} models")
             atoms = [0] * k
             for i, c in enumerate(colors):
                 for li in range(k):
@@ -554,17 +558,6 @@ def _put(key, value) -> None:
     _store[key] = value
 
 
-def _lookup(f: Formula) -> tuple[Formula, int]:
-    """The oriented formula and its record (0 when absent)."""
-    rec = _store.get(f)
-    if rec is not None:
-        return f, rec         # only oriented formulas are keys
-    g, _ = orient(f)
-    if g is not f:
-        rec = _store.get(g)
-    return g, rec or 0
-
-
 def _learn(rec: int, t: Theory, valid: bool) -> int:
     """rec with t's verdict and everything the chain infers from it."""
     i = _CHAIN.index(t)
@@ -574,25 +567,29 @@ def _learn(rec: int, t: Theory, valid: bool) -> int:
     return rec | (2 << i) - 1
 
 
-def _settle(f: Formula, g: Formula, rec: int, want: int,
+def _settle(g: Formula, rec: int, want: int,
             cm_theory: Optional[Theory] = None,
             budget: int = SEARCH_BUDGET) -> tuple[int, Optional[Verdict]]:
-    """Decide the theories in the mask `want` that rec leaves open, file the
-    record under g and return it.  With cm_theory, also return (and file)
-    that theory's countermodel verdict when the formula is invalid there.
-
-    f is compiled as given: compilation erases direction, so f and its
-    orientation g compile alike.  The compiled nodes and the type space are
-    built at most once and dropped on return.
+    """Decide the theories in the mask `want` that rec leaves open for the
+    oriented g, file the record under g and return it.  With cm_theory, also
+    return (and file) that theory's countermodel verdict when g is invalid
+    there.  The compiled nodes and the type space are built at most once and
+    dropped on return.
     """
-    compiled = _compile(f)
+    compiled = _compile(g)
     space = None
     cm: Optional[Verdict] = None
     for t, needed_by in _PLAN:
         if not want & needed_by or rec & _KNOWN[t]:
             continue
         if t is PL or t is S5:
-            v = (_pl_verdict if t is PL else _s5_verdict)(compiled, t is cm_theory)
+            try:
+                v = (_pl_verdict(compiled, t is cm_theory) if t is PL
+                     else _s5_verdict(compiled, t is cm_theory, budget))
+            except BudgetExceeded:
+                if want & _KNOWN[t]:
+                    raise
+                continue        # S4.2 is settled without S5 below
             if v.countermodel is not None:
                 cm = v
             valid = v.is_valid
@@ -608,7 +605,7 @@ def _settle(f: Formula, g: Formula, rec: int, want: int,
         if cm_theory is PL:
             cm = _pl_verdict(compiled, True)
         elif cm_theory is S5:
-            cm = _s5_verdict(compiled, True)
+            cm = _s5_verdict(compiled, True, budget)
         else:
             found, _ = _search_countermodel(compiled, cm_theory is S4_2, budget)
             if found is None:
@@ -629,10 +626,13 @@ def decide(t: Theory, f: Formula, budget: int = SEARCH_BUDGET,
     """Sound and complete validity verdict over the theory's finite frame
     class, with a canonical countermodel on Invalid.  Unknown is returned
     only when a countermodel is requested but not found within the search
-    budget."""
+    budget.  The budget also bounds the S5 colour sweep, in colour subsets:
+    past it, deciding S5 raises BudgetExceeded, and S4.2 goes without S5's
+    shortcut."""
     global _hits, _misses
     try:
-        g, rec = _lookup(f)
+        g, _ = orient(f)
+        rec = _store.get(g, 0)
         if rec & _KNOWN[t]:
             if rec & _HOLDS[t]:
                 _hits += 1
@@ -645,7 +645,7 @@ def decide(t: Theory, f: Formula, budget: int = SEARCH_BUDGET,
                 _hits += 1
                 return hit
         _misses += 1
-        rec, cm = _settle(f, g, rec, _KNOWN[t], t if want_countermodel else None,
+        rec, cm = _settle(g, rec, _KNOWN[t], t if want_countermodel else None,
                           budget)
     except RecursionError:
         raise _too_deep() from None
@@ -679,7 +679,7 @@ def pl_countermodel(g: Formula, *also: Theory) -> Optional[PointedModel]:
             _hits += 1
             return hit.countermodel
     _misses += 1
-    _, cm = _settle(g, g, rec, want, PL)
+    _, cm = _settle(g, rec, want, PL)
     return None if cm is None else cm.countermodel
 
 
@@ -712,10 +712,11 @@ def classify(report: FragmentReport) -> ClassificationResult:
         compared += 1
         if not open_:
             continue
-        g, rec = _lookup(f)
+        g, _ = orient(f)
+        rec = _store.get(g, 0)
         if open_ & ~rec:
             _misses += 1
-            rec, _ = _settle(f, g, rec, open_ & ~rec)
+            rec, _ = _settle(g, rec, open_ & ~rec)
         else:
             _hits += 1
         for t in Theory:

@@ -50,6 +50,13 @@ class TestDecideCommand:
         assert out.startswith("unknown")
 
 
+    def test_s5_past_budget_exit_4(self, capsys):
+        code, out, err = run(capsys, "decide", "--theory", "s5",
+                             "--budget", "100", "[u](r0 & r1 & r2) -> r0")
+        assert code == 4
+        assert out == "" and "S5 colour sweep exceeds 100" in err
+
+
 class TestExitCodes:
     def test_deep_nesting_is_a_syntax_error(self, capsys):
         code, out, err = run(capsys, "decide", "--theory", "s4", "~" * 1200 + "p")

@@ -1,8 +1,12 @@
+import copy
+import gc
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bikripke import formula
 from bikripke.errors import FormulaSyntaxError
 from bikripke.formula import (
     MAX_NESTING,
@@ -18,6 +22,8 @@ from bikripke.formula import (
     Not,
     Or,
     Top,
+    _orient_to,
+    directions,
     enumerate_formulas,
     letters,
     modal_depth,
@@ -201,3 +207,123 @@ def test_substitution_composition(f, s1, s2):
 @given(_formula_strategy, _small_subst)
 def test_substitution_never_shrinks(f, s):
     assert size(substitute(f, s)) >= size(f)
+
+
+# ---------------------------------------------------------------------------
+# Interning: one object per formula
+# ---------------------------------------------------------------------------
+
+def ref_letters(f) -> frozenset:
+    out, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Atom):
+            out.add(g.name)
+        elif isinstance(g, (Not, Box, Dia)):
+            stack.append(g.sub)
+        elif isinstance(g, (And, Or, Imp, Iff)):
+            stack += [g.left, g.right]
+    return frozenset(out)
+
+
+def ref_directions(f) -> frozenset:
+    out, stack = set(), [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (Box, Dia)):
+            out.add(g.dir)
+        if isinstance(g, (Not, Box, Dia)):
+            stack.append(g.sub)
+        elif isinstance(g, (And, Or, Imp, Iff)):
+            stack += [g.left, g.right]
+    return frozenset(out)
+
+
+def ref_depth(f) -> int:
+    deepest, stack = 0, [(f, 0)]
+    while stack:
+        g, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(g, (Not, Box, Dia)):
+            stack.append((g.sub, d + 1))
+        elif isinstance(g, (And, Or, Imp, Iff)):
+            stack += [(g.left, d + 1), (g.right, d + 1)]
+    return deepest
+
+
+def test_equal_formulas_are_one_object_whatever_builds_them():
+    text = "[d](p0 & <d>p1) -> ~<d>p0"
+    f = parse(text)
+    assert parse(text) is f
+    p0, p1 = Atom("p0"), Atom("p1")
+    assert Imp(Box(DOWN, And(p0, Dia(DOWN, p1))), Not(Dia(DOWN, p0))) is f
+    assert substitute(parse("[d](q & <d>p1) -> ~<d>p0"), {"q": p0}) is f
+    up = parse("[u](p0 & <u>p1) -> ~<u>p0")
+    assert _orient_to(f, UP) is up
+    assert _orient_to(f, UP) is _orient_to(f, UP)
+    assert _orient_to(up, DOWN) is f
+    assert Top() is Top() and Bot() is Bot() and Top() is not Bot()
+    for bad in ("true", "false", "P"):
+        with pytest.raises(ValueError):
+            Atom(bad)
+    with pytest.raises(TypeError):
+        Atom(1)
+    for g in enumerate_formulas(2, 5, {UP, DOWN}):
+        assert parse(print_formula(g)) is g
+
+
+def test_equality_is_identity():
+    stream = list(enumerate_formulas(1, 4, {UP, DOWN}))
+    again = list(enumerate_formulas(1, 4, {UP, DOWN}))
+    for f, g in zip(stream, again):
+        assert f is g
+    for f, g in itertools.product(stream[:40], repeat=2):
+        assert (f == g) is (f is g)
+        assert (f != g) is (f is not g)
+    assert Atom("p") != "p" and Top() != True
+
+
+def test_pickle_and_copy_return_the_interned_node():
+    f = parse("<d>[d]p0 -> (p1 <-> true)")
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formula_strategy)
+def test_node_fields_equal_reference_walks(f):
+    assert letters(f) == ref_letters(f)
+    assert directions(f) == ref_directions(f)
+    assert f._depth == ref_depth(f)
+
+
+def test_deep_chains_built_in_code_compare_and_hash():
+    def chain(depth):
+        f = Atom("p")
+        for _ in range(depth):
+            f = Not(Box(UP, f))
+        return f
+
+    a, b = chain(3000), chain(3000)
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != chain(2999)
+    assert letters(a) == {"p"} and directions(a) == {UP} and a._depth == 6000
+
+
+def test_table_shrinks_when_formulas_are_dropped():
+    gc.collect()
+    before = len(formula._nodes)
+    kept = [parse(f"[u](x{i} & <d>~x{i}) -> y{i}") for i in range(300)]
+    twins = [_orient_to(f, UP) for f in kept]
+    assert len(formula._nodes) > before + 300
+    del kept, twins
+    gc.collect()
+    assert len(formula._nodes) == before
+    f = Atom("deep")
+    for _ in range(50_000):
+        f = Not(Box(DOWN, f))
+    assert f._depth == 100_000
+    del f
+    gc.collect()
+    assert len(formula._nodes) == before

@@ -388,8 +388,12 @@ def loop_dia(frame, d, y):
 
 class TestDiamondTables:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(17, 300), st.integers(0, 2 ** 32),
+    @given(st.integers(1, 300), st.integers(0, 2 ** 32),
            st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]), st.sampled_from([UP, DOWN]))
+    @example(1, 5, 1.0, UP)
+    @example(2, 6, 0.5, DOWN)
+    @example(9, 7, 0.5, UP)
+    @example(16, 8, 0.1, DOWN)
     @example(17, 1, 0.1, UP)
     @example(63, 2, 0.1, DOWN)
     @example(65, 3, 0.5, UP)
@@ -425,11 +429,6 @@ class TestDiamondTables:
             memo = {}
             for w in r.sample(range(n), 8):
                 assert bool((mask >> w) & 1) == naive_truth_memo(m, w, f, memo)
-        assert "_dia_tables" not in m.frame.__dict__
-
-    def test_tiny_frames_get_no_tables(self):
-        m = chain2_model()
-        assert valid_on(m, parse("p -> [d]<u>p"))
         assert "_dia_tables" not in m.frame.__dict__
 
     def test_thm4_fragment_same_without_tables(self, monkeypatch):

@@ -488,6 +488,18 @@ class TestResourceBounds:
         assert v.countermodel.valuation == {f"x{i}": 0 for i in range(26)}
         assert peak < 4 << 20
 
+    def test_s5_sweep_stops_at_the_budget(self, empty_store):
+        from bikripke.errors import BudgetExceeded
+        # S5-valid, so the sweep would visit all 255 subsets of 8 colours.
+        f = parse("[u](s0 & s1 & s2) -> s0")
+        with pytest.raises(BudgetExceeded, match="S5 colour sweep"):
+            decide(S5, f, budget=100)
+        with pytest.raises(BudgetExceeded):
+            decide(S5, f, budget=100, want_countermodel=False)
+        # S4.2 goes without the S5 shortcut and is settled by elimination.
+        assert decide(S4_2, f, budget=100).is_valid
+        assert decide(S5, parse("[u](s0 & s1 & s2) -> s1"), budget=255).is_valid
+
     def test_deep_formula_built_in_code_exceeds_budget(self):
         from bikripke.errors import BudgetExceeded
         from bikripke.formula import Not
