@@ -114,8 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"search budget in evaluated models (default {SEARCH_BUDGET}) "
                         "of the S4/S4.2 countermodel search over frames of up to 5 "
                         "worlds (the default decides every two-letter formula of "
-                        "size <= 7 without Unknown) and of the S5 colour sweep, "
-                        "in colour subsets (past it, S5 exits 4)")
+                        "size <= 7 without Unknown), of the PL truth table, in "
+                        "assignments, and of the S5 colour sweep, in colour "
+                        "subsets (past it, PL and S5 exit 4)")
     p.add_argument("formula")
 
     p = sub.add_parser("check", help="model check a formula at a file's point")

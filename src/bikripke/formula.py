@@ -447,14 +447,30 @@ def subformulas(f: Formula) -> frozenset[Formula]:
 
 
 def modal_depth(f: Formula) -> int:
-    """Maximum nesting of Box/Dia operators."""
-    if isinstance(f, (Atom, Top, Bot)):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.sub)
-    if isinstance(f, (Box, Dia)):
-        return 1 + modal_depth(f.sub)
-    return max(modal_depth(f.left), modal_depth(f.right))
+    """Maximum nesting of Box/Dia operators.  An explicit stack and one
+    entry per distinct node: no recursion limit, and a shared subformula is
+    visited once."""
+    depth: dict[Formula, int] = {}
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if g in depth:
+            stack.pop()
+            continue
+        if isinstance(g, (Not, Box, Dia)):
+            kids = (g.sub,)
+        elif isinstance(g, _Binary):
+            kids = (g.left, g.right)
+        else:
+            kids = ()
+        todo = [k for k in kids if k not in depth]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        d = max((depth[k] for k in kids), default=0)
+        depth[g] = d + 1 if isinstance(g, (Box, Dia)) else d
+    return depth[f]
 
 
 def size(f: Formula) -> int:

@@ -10,9 +10,11 @@ Validity is decided semantically against each theory's finite frame class:
 * S4 (finite reflexive transitive frames) and S4.2 (additionally directed):
   exhaustive elimination over the formula's coherent truth-value types.  A
   surviving type assignment yields a refuting model of the right class; if
-  none survives the bounded class cannot refute the formula.  For S4.2 the
-  elimination is run relative to each realisable final-cluster modal
-  pattern, which forces directedness.
+  none survives the bounded class cannot refute the formula.  A type's
+  successors and requirements depend only on its modal pattern (the values
+  of its boxes and diamonds), so types are grouped by pattern and
+  eliminated a group at a time.  For S4.2 the elimination is run relative
+  to each realisable final-cluster pattern, which forces directedness.
 
 Invalid verdicts carry a countermodel found by the canonical search (frame
 size ascending, edge sets lexicographic, valuations lexicographic, points
@@ -20,8 +22,8 @@ ascending) so reported countermodels are reproducible byte for byte.
 
 Every decider compiles the formula once to a node list and runs it with
 _run over its own models: one bit per PL assignment, n-bit masks per S5
-colour subset, world masks per candidate countermodel, and bool columns
-over the rows of the type space.
+colour subset, world masks per candidate countermodel, and int columns over
+the rows of the type space, one bit per type.
 
 Every verdict goes through one bounded verdict store keyed by the oriented
 formula, so a DOWN formula and its UP twin share one record.  A record holds
@@ -37,8 +39,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Optional
-
-import numpy as np
 
 from .errors import BudgetExceeded, MixedDirections, SEARCH_BUDGET
 from .formula import (
@@ -213,12 +213,17 @@ def _run(nodes: list[tuple], atoms, full, box, dia) -> list:
 # PL
 # ---------------------------------------------------------------------------
 
-def _pl_verdict(compiled: _Compiled, want_cm: bool) -> Verdict:
+def _pl_verdict(compiled: _Compiled, want_cm: bool,
+                budget: int = SEARCH_BUDGET) -> Verdict:
+    """Truth-table the formula; raises BudgetExceeded past `budget`
+    assignments."""
     nodes, root, lets = compiled
     # Assignments in ascending order with letter i as bit i: letter 0 varies
     # fastest, so each product tuple is read backwards.  Box and diamond on
     # one reflexive point are the identity on one bit.
-    for bits in itertools.product((0, 1), repeat=len(lets)):
+    for used, bits in enumerate(itertools.product((0, 1), repeat=len(lets)), 1):
+        if used > budget:
+            raise BudgetExceeded(f"PL truth table exceeds {budget} assignments")
         atoms = bits[::-1]
         if not _run(nodes, atoms, 1, (0, 1), (0, 1))[root]:
             if not want_cm:
@@ -290,14 +295,26 @@ def _s5_verdict(compiled: _Compiled, want_cm: bool,
 # S4 / S4.2 validity by type elimination
 # ---------------------------------------------------------------------------
 
-def _type_space(compiled: _Compiled):
-    """All coherent truth-value assignments to the subformulas of f.
+# bin() digits "0"/"1" to the bytes 0/1 that itertools.compress selects by.
+_BIT = bytes.maketrans(b"01", b"\0\1")
 
-    Returns (M, boxes, dias, root, succ) where M is a bool matrix (types x
-    nodes), boxes/dias list (node index, child index) pairs and succ is the
-    one-step successor relation on the types (_succ_matrix).  Coherence:
-    Boolean connectives are derived; box nodes imply their child
-    (reflexivity), and a child implies its diamond.
+
+def _type_space(compiled: _Compiled):
+    """The coherent truth-value assignments (types) to the nodes of f,
+    grouped by modal pattern.
+
+    A type is a row, and a node's column is an int whose bit j says the node
+    holds in row j.  Atoms, boxes and diamonds are free, and the Boolean
+    nodes follow from them by _run.  A row is coherent when every box
+    implies its child (reflexivity) and every child its diamond; the columns
+    are re-indexed to the coherent rows only.
+
+    Returns (groups, root column).  A group is (rows, needs, succ,
+    targets): the coherent rows of one modal pattern; a bit per modal node
+    that makes a requirement there (a box false or a diamond true), which
+    tells the patterns apart; the rows that may follow the pattern's rows
+    (boxes persist forward and diamonds backward, so this depends on the
+    pattern alone); and for each requirement, the rows that witness it.
     """
     nodes, root, _ = compiled
     # The free nodes become the letters of a Boolean formula over the rows.
@@ -312,70 +329,91 @@ def _type_space(compiled: _Compiled):
     if b > 22:
         raise BudgetExceeded(f"type space has 2^{b} candidate rows")
     rows = 1 << b
-    bits = np.arange(rows, dtype=np.uint32)
-    cols = _run(boolean, [((bits >> pos) & 1).astype(bool) for pos in range(b)],
-                np.ones(rows, dtype=bool), None, None)
-    M = np.column_stack(cols) if nodes else np.zeros((rows, 0), dtype=bool)
-    boxes = [(i, nd[1]) for i, nd in enumerate(nodes) if nd[0] == "box"]
-    dias = [(i, nd[1]) for i, nd in enumerate(nodes) if nd[0] == "dia"]
-    ok = np.ones(rows, dtype=bool)
-    for i, c in boxes:
-        ok &= ~M[:, i] | M[:, c]
-    for i, c in dias:
-        ok &= ~M[:, c] | M[:, i]
-    M = M[ok]
-    return M, boxes, dias, root, _succ_matrix(M, boxes, dias)
+    full = (1 << rows) - 1
+    free = []
+    for pos in range(b):
+        # Rows with bit pos set: blocks of 2^pos zeros then ones, doubled.
+        half = 1 << pos
+        col = ((1 << half) - 1) << half
+        span = half << 1
+        while span < rows:
+            col |= col << span
+            span <<= 1
+        free.append(col)
+    cols = _run(boolean, free, full, None, None)
+    ok = full
+    for k, (op, c, _) in enumerate(nodes):
+        if op == "box":
+            ok &= ~cols[k] | cols[c]
+        elif op == "dia":
+            ok &= ~cols[c] | cols[k]
+    if ok != full:
+        # Keep the coherent rows.  Their numbers, b binary digits each, are
+        # laid end to end; free column pos is every b-th digit of that
+        # string, read from the last row down.
+        kept = itertools.compress(range(rows),
+                                  bin(ok)[:1:-1].encode().translate(_BIT))
+        digits = "".join(map(format, kept, itertools.repeat(f"0{b}b")))
+        free = [int(digits[-1 - pos::-b] or "0", 2) for pos in range(b)]
+        full = (1 << len(digits) // b) - 1
+        cols = _run(boolean, free, full, None, None)
+    # Split the rows on each modal column in turn.  A box true restricts
+    # the successors to rows where it is true, and a box false needs a
+    # successor where its child is false; a diamond false restricts them to
+    # rows where it is false, and a diamond true needs a successor where its
+    # child is true.
+    groups = [(full, 0, full, [])] if full else []
+    bit = 1
+    for k, (op, c, _) in enumerate(nodes):
+        if op != "box" and op != "dia":
+            continue
+        col = cols[k]
+        parts = []
+        for g, needs, succ, targets in groups:
+            on, off = g & col, g & ~col
+            if op == "box":
+                if on:
+                    parts.append((on, needs, succ & col, targets))
+                if off:
+                    parts.append((off, needs | bit, succ, targets + [full ^ cols[c]]))
+            else:
+                if on:
+                    parts.append((on, needs | bit, succ, targets + [cols[c]]))
+                if off:
+                    parts.append((off, needs, succ & ~col, targets))
+        groups = parts
+        bit <<= 1
+    return groups, cols[root]
 
 
-def _succ_matrix(M: np.ndarray, boxes, dias) -> np.ndarray:
-    """succ[t, s]: s is a coherent one-step successor type of t (boxes
-    persist forward, diamonds persist backward)."""
-    r = M.shape[0]
-    succ = np.ones((r, r), dtype=bool)
-    for i, _ in boxes:
-        col = M[:, i]
-        succ &= ~col[:, None] | col[None, :]
-    for i, _ in dias:
-        col = M[:, i]
-        succ &= ~col[None, :] | col[:, None]
-    return succ
-
-
-def _eliminate(M: np.ndarray, boxes, dias, succ: np.ndarray,
-               alive: np.ndarray) -> np.ndarray:
-    """Remove types whose box/diamond requirements lack surviving witnesses."""
-    alive = alive.copy()
+def _eliminate(alive: list) -> int:
+    """Remove the groups with a requirement that no surviving successor row
+    witnesses, until none is left; returns the surviving rows.  Every row of
+    a group has the group's requirements and successors, so a group goes as
+    a whole."""
+    rows = 0
+    for grp in alive:
+        rows |= grp[0]
     while True:
-        changed = False
-        for i, c in boxes:
-            need = alive & ~M[:, i]
-            if not need.any():
-                continue
-            wit = succ @ (alive & ~M[:, c])
-            kill = need & ~wit
-            if kill.any():
-                alive &= ~kill
-                changed = True
-        for i, c in dias:
-            need = alive & M[:, i]
-            if not need.any():
-                continue
-            wit = succ @ (alive & M[:, c])
-            kill = need & ~wit
-            if kill.any():
-                alive &= ~kill
-                changed = True
-        if not changed:
-            return alive
+        kept = []
+        for grp in alive:
+            g, _, succ, targets = grp
+            reach = succ & rows
+            for t in targets:
+                if not reach & t:
+                    rows ^= g
+                    break
+            else:
+                kept.append(grp)
+        if len(kept) == len(alive):
+            return rows
+        alive = kept
 
 
 def _s4_invalid(space) -> bool:
     """True iff some finite reflexive transitive model refutes f."""
-    M, boxes, dias, root, succ = space
-    if M.shape[0] == 0:
-        return False
-    alive = _eliminate(M, boxes, dias, succ, np.ones(M.shape[0], dtype=bool))
-    return bool((alive & ~M[:, root]).any())
+    groups, root = space
+    return bool(_eliminate(groups) & ~root)
 
 
 def _s42_invalid(space) -> bool:
@@ -383,46 +421,19 @@ def _s42_invalid(space) -> bool:
 
     Every such model has a unique final cluster whose worlds share one modal
     pattern; the elimination is run over the types compatible with each
-    realisable pattern, with the pattern's own types as the always-available
-    final cluster.
+    realisable pattern (a group), with the pattern's own types as the
+    always-available final cluster.
     """
-    M, boxes, dias, root, succ = space
-    if M.shape[0] == 0:
-        return False
-    modal_cols = [i for i, _ in boxes] + [i for i, _ in dias]
-    if not modal_cols:
-        return bool((~M[:, root]).any())
-    patterns = np.unique(M[:, modal_cols], axis=0)
-    box_cols = [i for i, _ in boxes]
-    dia_cols = [i for i, _ in dias]
-    for beta in patterns:
-        beta_box = beta[: len(box_cols)]
-        beta_dia = beta[len(box_cols):]
-        in_w = np.ones(M.shape[0], dtype=bool)
-        for pos, i in enumerate(modal_cols):
-            in_w &= M[:, i] == beta[pos]
+    groups, root = space
+    for g, needs, _, targets in groups:
         # Cluster coverage: unforced requirements need witnesses inside it.
-        ok = True
-        for pos, (i, c) in enumerate(boxes):
-            if not beta_box[pos] and not (in_w & ~M[:, c]).any():
-                ok = False
-                break
-        if ok:
-            for pos, (i, c) in enumerate(dias):
-                if beta_dia[pos] and not (in_w & M[:, c]).any():
-                    ok = False
-                    break
-        if not ok:
+        if not all(g & t for t in targets):
             continue
-        eligible = np.ones(M.shape[0], dtype=bool)
-        for pos, i in enumerate(box_cols):
-            if not beta_box[pos]:
-                eligible &= ~M[:, i]
-        for pos, i in enumerate(dia_cols):
-            if beta_dia[pos]:
-                eligible &= M[:, i]
-        alive = _eliminate(M, boxes, dias, succ, eligible)
-        if (alive & ~M[:, root]).any():
+        # The final cluster is seen from everywhere, so a box false there is
+        # false everywhere and a diamond true there is true everywhere:
+        # eligible types make at least its requirements.
+        eligible = [q for q in groups if not needs & ~q[1]]
+        if _eliminate(eligible) & ~root:
             return True
     return False
 
@@ -521,15 +532,19 @@ _CHAIN = (S4, S4_2, S5, PL)
 _KNOWN = {t: 1 << i for i, t in enumerate(_CHAIN)}
 _HOLDS = {t: 1 << (4 + i) for i, t in enumerate(_CHAIN)}
 _ALL = 0b1111
+# (theory, known bit, holds bit) in Theory's order, so that classify's loop
+# over each formula reads bits without hashing an Enum.
+_BITS = tuple((t, _KNOWN[t], _HOLDS[t]) for t in Theory)
 
-# The deciders in the order they run, each with the theories that need it.
+# The deciders in the order they run, each with its known bit and the bits
+# of the theories that need it.
 # PL and S5 are cheap sweeps, and a refutation there settles everything
 # below.  S4.2 is settled, as far as it can be, by S5 (invalid there:
 # invalid) and S4 (valid there: valid) before its pattern elimination runs.
-_PLAN = ((PL, _KNOWN[PL]),
-         (S5, _KNOWN[S5] | _KNOWN[S4_2]),
-         (S4, _KNOWN[S4] | _KNOWN[S4_2]),
-         (S4_2, _KNOWN[S4_2]))
+_PLAN = ((PL, _KNOWN[PL], _KNOWN[PL]),
+         (S5, _KNOWN[S5], _KNOWN[S5] | _KNOWN[S4_2]),
+         (S4, _KNOWN[S4], _KNOWN[S4] | _KNOWN[S4_2]),
+         (S4_2, _KNOWN[S4_2], _KNOWN[S4_2]))
 
 # One store, keyed by oriented formulas only (a DOWN formula is filed under
 # its UP twin):
@@ -558,13 +573,13 @@ def _put(key, value) -> None:
     _store[key] = value
 
 
-def _learn(rec: int, t: Theory, valid: bool) -> int:
-    """rec with t's verdict and everything the chain infers from it."""
-    i = _CHAIN.index(t)
+def _learn(rec: int, known: int, valid: bool) -> int:
+    """rec with the verdict of the theory whose known bit is `known`, and
+    everything the chain infers from it."""
     if valid:
-        at_or_above = _ALL >> i << i
+        at_or_above = _ALL & -known
         return rec | at_or_above | at_or_above << 4
-    return rec | (2 << i) - 1
+    return rec | (known << 1) - 1
 
 
 def _settle(g: Formula, rec: int, want: int,
@@ -579,15 +594,15 @@ def _settle(g: Formula, rec: int, want: int,
     compiled = _compile(g)
     space = None
     cm: Optional[Verdict] = None
-    for t, needed_by in _PLAN:
-        if not want & needed_by or rec & _KNOWN[t]:
+    for t, known, needed_by in _PLAN:
+        if not want & needed_by or rec & known:
             continue
         if t is PL or t is S5:
             try:
-                v = (_pl_verdict(compiled, t is cm_theory) if t is PL
-                     else _s5_verdict(compiled, t is cm_theory, budget))
+                v = (_pl_verdict if t is PL else _s5_verdict)(
+                    compiled, t is cm_theory, budget)
             except BudgetExceeded:
-                if want & _KNOWN[t]:
+                if want & known:
                     raise
                 continue        # S4.2 is settled without S5 below
             if v.countermodel is not None:
@@ -597,13 +612,13 @@ def _settle(g: Formula, rec: int, want: int,
             if space is None:
                 space = _type_space(compiled)
             valid = not (_s4_invalid if t is S4 else _s42_invalid)(space)
-        rec = _learn(rec, t, valid)
+        rec = _learn(rec, known, valid)
     _put(g, rec)
     if cm_theory is None or rec & _HOLDS[cm_theory]:
         return rec, None
     if cm is None:
         if cm_theory is PL:
-            cm = _pl_verdict(compiled, True)
+            cm = _pl_verdict(compiled, True, budget)
         elif cm_theory is S5:
             cm = _s5_verdict(compiled, True, budget)
         else:
@@ -626,9 +641,9 @@ def decide(t: Theory, f: Formula, budget: int = SEARCH_BUDGET,
     """Sound and complete validity verdict over the theory's finite frame
     class, with a canonical countermodel on Invalid.  Unknown is returned
     only when a countermodel is requested but not found within the search
-    budget.  The budget also bounds the S5 colour sweep, in colour subsets:
-    past it, deciding S5 raises BudgetExceeded, and S4.2 goes without S5's
-    shortcut."""
+    budget.  The budget also bounds the PL truth table, in assignments, and
+    the S5 colour sweep, in colour subsets: past it, deciding PL or S5 raises
+    BudgetExceeded, and S4.2 goes without S5's shortcut."""
     global _hits, _misses
     try:
         g, _ = orient(f)
@@ -719,9 +734,9 @@ def classify(report: FragmentReport) -> ClassificationResult:
             rec, _ = _settle(g, rec, open_ & ~rec)
         else:
             _hits += 1
-        for t in Theory:
-            if open_ & _KNOWN[t] and bool(rec & _HOLDS[t]) != status:
+        for t, known, holds in _BITS:
+            if open_ & known and bool(rec & holds) != status:
                 separators[t] = f
                 matches.discard(t)
-                open_ &= ~_KNOWN[t]
+                open_ &= ~known
     return ClassificationResult(matches, separators, compared, excluded)

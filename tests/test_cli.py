@@ -56,6 +56,12 @@ class TestDecideCommand:
         assert code == 4
         assert out == "" and "S5 colour sweep exceeds 100" in err
 
+    def test_pl_past_budget_exit_4(self, capsys):
+        code, out, err = run(capsys, "decide", "--theory", "pl",
+                             "--budget", "10", "p0 & p1 & p2 & p3 -> p0")
+        assert code == 4
+        assert out == "" and "PL truth table exceeds 10" in err
+
 
 class TestExitCodes:
     def test_deep_nesting_is_a_syntax_error(self, capsys):

@@ -128,6 +128,19 @@ def test_letters_and_depth():
     assert modal_depth(p) == 0
 
 
+def test_modal_depth_of_deep_and_shared_formulas():
+    # Built in code, past the interpreter's recursion limit.
+    f = p
+    for _ in range(1500):
+        f = Box(UP, f)
+    assert modal_depth(f) == 1500
+    # A tree of about 2^61 nodes over 121 distinct ones: each is visited once.
+    g = p
+    for _ in range(60):
+        g = And(Box(UP, g), g)
+    assert modal_depth(g) == 60
+
+
 def test_subformulas_shared():
     # Distinct subtrees only: the inner <u>p is shared with the consequent.
     f = parse("<u>p -> [u]<u>p")

@@ -1,8 +1,11 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from bikripke.errors import MixedDirections
+from bikripke.errors import BudgetExceeded, MixedDirections
 from bikripke.formula import (
     DOWN,
     UP,
@@ -30,7 +33,12 @@ from bikripke.theories import (
     is_valid,
     verdict_store_stats,
 )
-from .conftest import all_universal_models, naive_truth, universal_model
+from .conftest import (
+    all_universal_models,
+    naive_truth,
+    random_formula,
+    universal_model,
+)
 
 
 class TestAxioms:
@@ -509,3 +517,164 @@ class TestResourceBounds:
         for t in Theory:
             with pytest.raises(BudgetExceeded):
                 decide(t, f)
+
+    def test_type_space_memory_is_linear_in_rows(self, empty_store):
+        # 13 free nodes and about 6,000 coherent rows: a successor relation
+        # over the rows would take tens of MB.
+        import tracemalloc
+        f = parse("[u]p0 -> (" + " | ".join(f"p{i}" for i in range(1, 12)) + ")")
+        compiled = theories._compile(f)
+        tracemalloc.start()
+        try:
+            s4_valid = decide(S4, f, want_countermodel=False).is_valid
+            s42_invalid = theories._s42_invalid(theories._type_space(compiled))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not s4_valid and s42_invalid
+        assert peak < 8 << 20
+
+    def test_pl_truth_table_stops_at_the_budget(self, empty_store):
+        # PL-valid, so the table would visit all 16 assignments.
+        f = parse("p0 & p1 & p2 & p3 -> p0")
+        with pytest.raises(BudgetExceeded, match="PL truth table exceeds 10"):
+            decide(PL, f, budget=10)
+        with pytest.raises(BudgetExceeded):
+            decide(PL, f, budget=10, want_countermodel=False)
+        assert decide(PL, f, budget=16).is_valid
+
+
+# ---------------------------------------------------------------------------
+# Reference type elimination: the r x r successor matrix over NumPy bool
+# columns that the integer-mask groups replaced, kept as an oracle.
+# ---------------------------------------------------------------------------
+
+def ref_type_space(compiled):
+    nodes, root, _ = compiled
+    boolean = []
+    b = 0
+    for nd in nodes:
+        if nd[0] in ("atom", "box", "dia"):
+            boolean.append(("atom", b, 0))
+            b += 1
+        else:
+            boolean.append(nd)
+    rows = 1 << b
+    bits = np.arange(rows, dtype=np.uint32)
+    cols = theories._run(boolean,
+                         [((bits >> pos) & 1).astype(bool) for pos in range(b)],
+                         np.ones(rows, dtype=bool), None, None)
+    M = np.column_stack(cols)
+    boxes = [(i, nd[1]) for i, nd in enumerate(nodes) if nd[0] == "box"]
+    dias = [(i, nd[1]) for i, nd in enumerate(nodes) if nd[0] == "dia"]
+    ok = np.ones(rows, dtype=bool)
+    for i, c in boxes:
+        ok &= ~M[:, i] | M[:, c]
+    for i, c in dias:
+        ok &= ~M[:, c] | M[:, i]
+    M = M[ok]
+    return M, boxes, dias, root, ref_succ_matrix(M, boxes, dias)
+
+
+def ref_succ_matrix(M, boxes, dias):
+    """succ[t, s]: boxes persist forward, diamonds persist backward."""
+    r = M.shape[0]
+    succ = np.ones((r, r), dtype=bool)
+    for i, _ in boxes:
+        col = M[:, i]
+        succ &= ~col[:, None] | col[None, :]
+    for i, _ in dias:
+        col = M[:, i]
+        succ &= ~col[None, :] | col[:, None]
+    return succ
+
+
+def ref_eliminate(M, boxes, dias, succ, alive):
+    alive = alive.copy()
+    while True:
+        changed = False
+        for reqs, want in ((boxes, False), (dias, True)):
+            for i, c in reqs:
+                need = alive & (M[:, i] == want)
+                if not need.any():
+                    continue
+                wit = succ @ (alive & (M[:, c] == want))
+                kill = need & ~wit
+                if kill.any():
+                    alive &= ~kill
+                    changed = True
+        if not changed:
+            return alive
+
+
+def ref_s4_invalid(space) -> bool:
+    M, boxes, dias, root, succ = space
+    if M.shape[0] == 0:
+        return False
+    alive = ref_eliminate(M, boxes, dias, succ, np.ones(M.shape[0], dtype=bool))
+    return bool((alive & ~M[:, root]).any())
+
+
+def ref_s42_invalid(space) -> bool:
+    M, boxes, dias, root, succ = space
+    if M.shape[0] == 0:
+        return False
+    box_cols = [i for i, _ in boxes]
+    dia_cols = [i for i, _ in dias]
+    modal_cols = box_cols + dia_cols
+    if not modal_cols:
+        return bool((~M[:, root]).any())
+    for beta in np.unique(M[:, modal_cols], axis=0):
+        beta_box = beta[: len(box_cols)]
+        beta_dia = beta[len(box_cols):]
+        in_w = np.ones(M.shape[0], dtype=bool)
+        for pos, i in enumerate(modal_cols):
+            in_w &= M[:, i] == beta[pos]
+        # Cluster coverage: unforced requirements need witnesses inside it.
+        if any(not beta_box[pos] and not (in_w & ~M[:, c]).any()
+               for pos, (_, c) in enumerate(boxes)):
+            continue
+        if any(beta_dia[pos] and not (in_w & M[:, c]).any()
+               for pos, (_, c) in enumerate(dias)):
+            continue
+        eligible = np.ones(M.shape[0], dtype=bool)
+        for pos, i in enumerate(box_cols):
+            if not beta_box[pos]:
+                eligible &= ~M[:, i]
+        for pos, i in enumerate(dia_cols):
+            if beta_dia[pos]:
+                eligible &= M[:, i]
+        alive = ref_eliminate(M, boxes, dias, succ, eligible)
+        if (alive & ~M[:, root]).any():
+            return True
+    return False
+
+
+def _width(compiled) -> int:
+    """Free nodes of the type space: atoms, boxes and diamonds."""
+    return sum(op in ("atom", "box", "dia") for op, _, _ in compiled[0])
+
+
+def _both_verdicts(compiled):
+    space = theories._type_space(compiled)
+    ref = ref_type_space(compiled)
+    return ((theories._s4_invalid(space), theories._s42_invalid(space)),
+            (ref_s4_invalid(ref), ref_s42_invalid(ref)))
+
+
+class TestTypeSpaceReference:
+    def test_every_two_letter_formula_to_size_5(self):
+        for f in enumerate_formulas(2, 5, {UP}):
+            got, want = _both_verdicts(theories._compile(f))
+            assert got == want, f
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    @example(46)        # width 15, S4- and S4.2-invalid
+    @example(1818)      # width 15, S4- and S4.2-valid
+    def test_random_three_letter_formulas_of_width_8_to_16(self, seed):
+        f = random_formula(random.Random(seed), 40, letters=3, dirs=(UP,))
+        compiled = theories._compile(f)
+        assume(8 <= _width(compiled) <= 16)
+        got, want = _both_verdicts(compiled)
+        assert got == want, f
