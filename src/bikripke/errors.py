@@ -1,5 +1,7 @@
 """Exception types and default resource budgets shared across the package."""
 
+import sys
+
 
 class BikripkeError(Exception):
     """Base class for all errors raised by this package."""
@@ -26,6 +28,13 @@ class BadWorldIndex(BikripkeError):
 class BudgetExceeded(BikripkeError):
     """A configured resource budget (worlds, sets, assignments, search nodes)
     was exhausted before the computation finished.  Never a silent truncation."""
+
+
+def _too_deep() -> BudgetExceeded:
+    """The error for a formula, built in code, that nests past the
+    interpreter's recursion limit (the parser refuses such text)."""
+    return BudgetExceeded("formula nested too deep to evaluate (recursion limit "
+                          f"{sys.getrecursionlimit()})")
 
 
 class OverlappingIndexSets(BikripkeError):

@@ -28,7 +28,7 @@ import weakref
 from enum import Enum
 from typing import Iterator, Mapping
 
-from .errors import FormulaSyntaxError
+from .errors import FormulaSyntaxError, _too_deep
 
 
 class Direction(Enum):
@@ -416,8 +416,12 @@ def _render(f: Formula, min_prec: int) -> str:
 
 
 def print_formula(f: Formula) -> str:
-    """Canonical text with minimal parentheses; parse(print_formula(f)) == f."""
-    return _render(f, _PREC_IFF)
+    """Canonical text with minimal parentheses; parse(print_formula(f)) == f.
+    Raises BudgetExceeded for a formula nested past the recursion limit."""
+    try:
+        return _render(f, _PREC_IFF)
+    except RecursionError:
+        raise _too_deep() from None
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +502,8 @@ def directions(f: Formula) -> frozenset[Direction]:
 
 
 def substitute(f: Formula, s: Substitution) -> Formula:
-    """Simultaneous replacement of atoms; unmapped letters map to themselves."""
+    """Simultaneous replacement of atoms; unmapped letters map to themselves.
+    Raises BudgetExceeded for a formula nested past the recursion limit."""
     memo: dict[Formula, Formula] = {}
 
     def go(g: Formula) -> Formula:
@@ -520,7 +525,10 @@ def substitute(f: Formula, s: Substitution) -> Formula:
         memo[g] = out
         return out
 
-    return go(f)
+    try:
+        return go(f)
+    except RecursionError:
+        raise _too_deep() from None
 
 
 def _orient_to(f: Formula, d: Direction) -> Formula:
@@ -544,8 +552,12 @@ def _orient_to(f: Formula, d: Direction) -> Formula:
 
 def polarity(f: Formula, letter: str) -> int:
     """Polarity of a letter's occurrences in f: 1 all positive, -1 all
-    negative, 0 mixed or absent."""
-    pos, neg = _polarities(f, letter, True)
+    negative, 0 mixed or absent.  Raises BudgetExceeded for a formula nested
+    past the recursion limit."""
+    try:
+        pos, neg = _polarities(f, letter, True)
+    except RecursionError:
+        raise _too_deep() from None
     if pos and neg:
         return 0
     if pos:
@@ -571,11 +583,12 @@ def _polarities(f: Formula, letter: str, sign: bool) -> tuple[bool, bool]:
         rp, rn = _polarities(f.right, letter, sign)
         return (lp or rp, ln or rn)
     if isinstance(f, Iff):
+        # Both sides occur with both signs.  Flipping a walk's sign only
+        # swaps its two answers, so one walk per side finds them.
         lp, ln = _polarities(f.left, letter, sign)
-        lp2, ln2 = _polarities(f.left, letter, not sign)
         rp, rn = _polarities(f.right, letter, sign)
-        rp2, rn2 = _polarities(f.right, letter, not sign)
-        return (lp or lp2 or rp or rp2, ln or ln2 or rn or rn2)
+        both = lp or ln or rp or rn
+        return (both, both)
     lp, ln = _polarities(f.left, letter, sign)
     rp, rn = _polarities(f.right, letter, sign)
     return (lp or rp, ln or rn)

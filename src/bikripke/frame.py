@@ -541,9 +541,16 @@ def dumps(obj: Union[Frame, PointedModel]) -> str:
 
 
 def load(path: str) -> Union[Frame, PointedModel]:
-    """Read a frame or pointed model; raises FrameParseError with line number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    """Read a frame or pointed model; raises FrameParseError with line number,
+    also for a file that is not UTF-8 text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FrameParseError(f"not UTF-8 text: {exc.reason}",
+                              data.count(b"\n", 0, exc.start) + 1) from None
+    return loads(text)
 
 
 def loads(text: str) -> Union[Frame, PointedModel]:

@@ -1,7 +1,8 @@
 """Kripke model checking and substitution-closed modal fragments.
 
-The extension of a formula is computed bottom-up over bitmask world sets by
-one memoised tree walk, _evaluate, which the exact sweep shares.
+The extension of a formula is computed bottom-up by one memoised tree walk,
+_evaluate, generic in what a value is: int world masks for eval_mask and
+closed formulas, interned vectors for the exact sweep.
 The definable algebra of a model is the least family of world sets containing
 the valuation sets (plus the empty and full sets) closed under complement,
 intersection and both box preimages; on a finite model this equals the family
@@ -10,10 +11,20 @@ of unions of two-way bisimulation classes, which is how it is computed here.
 Membership in the substitution-closed fragment ml(m, f) quantifies the
 letters of f over the definable algebra.  When the algebra fits the budget
 the quantification is swept exactly on the quotient by those classes, for
-all assignments at once as vectors of class masks; otherwise
-membership is resolved by certified reasoning: validity over the frame's
-class implies membership, and a model-checked refuting substitution disproves
-it.  On a reflexive frame a PL-invalid formula is refuted by constant
+all assignments at once as vectors of class masks.  The sweep's values
+persist in the model's context, one pool per letter list: every distinct
+vector is stored once, with its first failing assignment, each operator is
+memoised on the numbers of its operands (the unique and computed tables of
+Bryant, "Graph-based algorithms for Boolean function manipulation", 1986),
+and a memo keeps the values of the subformulas swept so far, so a formula of
+the canonical enumeration, whose children were swept just before it, costs
+an operator lookup.  Closed formulas, whose value does not depend on the
+valuation, share a memo of world masks.  All of these are emptied together
+when their bytes pass a fixed cap (_POOL_BYTES).
+
+Otherwise membership is resolved by certified reasoning: validity over the
+frame's class implies membership, and a model-checked refuting substitution
+disproves it.  On a reflexive frame a PL-invalid formula is refuted by constant
 substitution: each letter becomes ⊤ or ⊥ as in its one-world PL
 countermodel, since box and diamond of a constant are that constant there.
 Other refutations are built from a certified control family, whose candidate
@@ -24,14 +35,14 @@ raise BudgetExceeded rather than guess.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import ALGEBRA_BUDGET, ASSIGNMENT_BUDGET, BadWorldIndex, BudgetExceeded
+from .errors import (ALGEBRA_BUDGET, ASSIGNMENT_BUDGET, BadWorldIndex, BudgetExceeded,
+                     _too_deep)
 from .formula import (
     DOWN,
     UP,
@@ -72,16 +83,24 @@ def eval_mask(m: PointedModel, f: Formula,
         raise _too_deep() from None
 
 
-def _evaluate(f: Formula, atoms: dict, full, box, dia):
+def _evaluate(f: Formula, atoms: dict, full, box, dia, memo: dict | None = None):
     """Value of f, memoised per subformula, on any carrier closed under
-    ^ & |: int world masks, or NumPy vectors of masks.  atoms maps letters
-    to values (an absent letter is empty), full is the value of ⊤, and
-    box(dir, x) and dia(dir, x) are the modal operators on the carrier.
+    ^ & |: int world masks, or the exact sweep's interned vectors.  atoms
+    maps letters to values (an absent letter is empty), full is the value of
+    ⊤, and box(dir, x) and dia(dir, x) are the modal operators on the carrier.
+    A memo passed in is kept across calls: afterwards it holds the values of
+    f's proper subformulas, and f's own only if it held it before.
 
     This walk serves formulas evaluated once; theories._run runs a compiled
     formula that is evaluated many times."""
+    if memo is None:
+        memo = {}
+        kept = None
+    else:
+        kept = memo.get(f)
+        if kept is not None:
+            return kept
     empty = full ^ full
-    memo: dict[Formula, object] = {}
 
     def go(g: Formula):
         kind = type(g)
@@ -114,18 +133,14 @@ def _evaluate(f: Formula, atoms: dict, full, box, dia):
         return out
 
     try:
-        return go(f)
+        out = go(f)
     finally:
         # go refers to itself; without this the memo's values would wait for
         # the cycle collector, whose extra passes land in the latency tail.
         del go
-
-
-def _too_deep() -> BudgetExceeded:
-    """The error for a formula, built in code, that nests past the
-    interpreter's recursion limit (the parser refuses such text)."""
-    return BudgetExceeded("formula nested too deep to evaluate (recursion limit "
-                          f"{sys.getrecursionlimit()})")
+    if kept is None:
+        memo.pop(f, None)
+    return out
 
 
 # Frames of at most this many worlds compute diamond on world masks from
@@ -346,17 +361,153 @@ class _DirInfo:
 # and 42,822 in both.
 _ML_CACHE_LIMIT = 1 << 16
 
+# Bytes a model's value tables may hold: the exact sweep's interned vectors
+# with their operator tables and formula memos, and the closed formulas'
+# world masks.  Past it they are all emptied together after the walk.  On a
+# 512-set algebra of 9 cells a k=1 vector takes 1 KB, and a k=1, size <= 6
+# fragment holds about 0.3 MB in all (0.5 MB for both directions); a k=2
+# vector takes 512 KB.
+_POOL_BYTES = 1 << 24
+
+# Bytes charged for one memo or operator-table entry: its dict slot, key
+# and reference, estimated.
+_ENTRY_BYTES = 100
+
+
+def _cell_dtype(cells) -> np.dtype:
+    """The narrowest unsigned integer type that holds a mask of the cells."""
+    return np.min_scalar_type((1 << len(cells)) - 1)
+
+
+class _Value:
+    """A distinct vector of one sweep pool, numbered in its pool: entry i is
+    a cell mask, the extension under assignment i of the formulas with this
+    value.  ^ & | look their operands' numbers up in the pool's operator
+    table and run NumPy only on a miss."""
+
+    __slots__ = ("vec", "no", "pool", "_bad")
+
+    @property
+    def bad(self) -> int:
+        """The first assignment whose value misses the point's cell, -1 when
+        none does; computed on first use."""
+        if self._bad is None:
+            miss = (self.vec & self.pool.bit) == 0
+            self._bad = int(miss.argmax()) if miss.any() else -1
+        return self._bad
+
+    def __xor__(self, other):
+        return self.pool.apply(self, other, 0, np.bitwise_xor)
+
+    def __and__(self, other):
+        return self.pool.apply(self, other, 1, np.bitwise_and)
+
+    def __or__(self, other):
+        return self.pool.apply(self, other, 2, np.bitwise_or)
+
+
+class _Pool:
+    """The exact sweep's values for one letter list: every distinct vector
+    once (Bryant's unique table), the operators on their numbers (his
+    computed table) and the values of formulas swept so far.
+
+    Entry i of letter j's vector is the cell mask that assignment i gives
+    letter j, assignments in ascending order of their algebra indices; the
+    algebra lists its members in ascending order of their world masks.  ⊤
+    and ⊥ are one-entry vectors, which NumPy broadcasts."""
+
+    def __init__(self, ctx: "_MlContext", letters: tuple[str, ...]):
+        self.ctx = ctx
+        algebra = ctx.algebra
+        a, k = len(algebra), len(letters)
+        cells = algebra.cells
+        self.dtype = _cell_dtype(cells)
+        self.mask = self.dtype.type((1 << len(cells)) - 1)
+        self.bit = self.dtype.type(next(1 << i for i, cell in enumerate(cells)
+                                        if (cell >> ctx.model.point) & 1))
+        self.table: dict[bytes, _Value] = {}
+        self.ops: dict[int, _Value] = {}
+        self.memo: dict[Formula, _Value] = {}
+        worlds = _union_table(cells)
+        members = np.array(sorted(range(a), key=worlds.__getitem__), dtype=self.dtype)
+        self.atoms = {letter: self.intern(np.tile(np.repeat(members, a ** (k - 1 - i)), a ** i))
+                      for i, letter in enumerate(letters)}
+        self.full = self.intern(np.array([self.mask]))
+
+    def intern(self, vec: np.ndarray) -> _Value:
+        key = vec.tobytes()
+        out = self.table.get(key)
+        if out is None:
+            out = self.table[key] = _Value()
+            out.vec = np.frombuffer(key, dtype=self.dtype)
+            out.no = len(self.table)
+            out._bad = None
+            out.pool = self
+            self.ctx.held += len(key) + _ENTRY_BYTES
+        return out
+
+    def apply(self, x: _Value, y: _Value, tag: int, op) -> _Value:
+        key = (x.no << 32 | y.no) << 3 | tag
+        out = self.ops.get(key)
+        if out is None:
+            out = self.record(key, op(x.vec, y.vec))
+        return out
+
+    def box(self, dir: Direction, x: _Value) -> _Value:
+        key = x.no << 3 | (4 if dir is UP else 5)
+        out = self.ops.get(key)
+        if out is None:
+            mask = self.mask
+            out = self.record(key, mask ^ self.ctx.cell_table(dir)[mask ^ x.vec])
+        return out
+
+    def dia(self, dir: Direction, x: _Value) -> _Value:
+        key = x.no << 3 | (6 if dir is UP else 7)
+        out = self.ops.get(key)
+        if out is None:
+            out = self.record(key, self.ctx.cell_table(dir)[x.vec])
+        return out
+
+    def record(self, key: int, vec: np.ndarray) -> _Value:
+        """Enter an operator's result under key in the operator table."""
+        out = self.ops[key] = self.intern(vec)
+        self.ctx.held += _ENTRY_BYTES
+        return out
+
+    def close(self) -> None:
+        """Drop every value at once.  Values refer back to their pool, so
+        otherwise their vectors would wait for the cycle collector."""
+        self.table.clear()
+        self.ops.clear()
+        self.memo.clear()
+        self.atoms.clear()
+        self.full = None
+
 
 class _MlContext:
     """Per-model cache: the definable algebra when affordable, the
     per-direction certified reasoning machinery otherwise, and the masks of
-    control formulas per direction (controls._ControlMasks)."""
+    control formulas per direction (controls._ControlMasks).
+
+    Its value tables persist across queries, so a formula of the canonical
+    enumeration reuses the values of its subformulas, swept just before it:
+    one sweep pool per letter list, built on the first sweep within the
+    assignment budget, and a memo of closed formulas' world masks, which do
+    not depend on the valuation.  held estimates their bytes; past
+    _POOL_BYTES all of them are emptied together, once the walk that passed
+    it ends, so a walk never loses the memo of its own subformulas."""
 
     def __init__(self, m: PointedModel):
         self.model = m
         self._dirs: dict[Direction, _DirInfo] = {}
-        self._letter_vectors: dict[int, list] = {}
         self._cell_tables: dict[Direction, np.ndarray] = {}
+        self.pools: dict[tuple[str, ...], _Pool] = {}
+        self.closed: dict[Formula, int] = {}
+        self.held = 0
+        frame = m.frame
+        self._full = (1 << frame.n) - 1
+        self._box = partial(_box_mask, frame)
+        self._dia = partial(_dia_mask, frame)
         self.ml_cache: dict[Formula, MlOutcome] = {}
         self.control_masks: dict[Direction, object] = {}
 
@@ -383,9 +534,28 @@ class _MlContext:
             preds = [sum(1 << i for i, cell in enumerate(cells)
                          if succ[(cell & -cell).bit_length() - 1] & other)
                      for other in cells]
-            table = np.array(_union_table(preds), dtype=np.uint64)
+            table = np.array(_union_table(preds), dtype=_cell_dtype(cells))
             self._cell_tables[dir] = table
         return table
+
+    def closed_mask(self, f: Formula) -> int:
+        """World mask of a formula without letters, through the closed memo."""
+        frame = self.model.frame
+        before = len(self.closed)
+        try:
+            return _evaluate(f, {}, self._full, self._box, self._dia, self.closed)
+        finally:
+            self.spend((len(self.closed) - before) * (_ENTRY_BYTES + frame.n // 8))
+
+    def spend(self, nbytes: int) -> None:
+        """Charge nbytes to the value tables; past _POOL_BYTES empty them."""
+        self.held += nbytes
+        if self.held > _POOL_BYTES:
+            for pool in self.pools.values():
+                pool.close()
+            self.pools.clear()
+            self.closed.clear()
+            self.held = 0
 
 
 def _ml_context(m: PointedModel) -> _MlContext:
@@ -401,34 +571,22 @@ def _sweep(ctx: _MlContext, f: Formula, letters: list[str]) -> MlOutcome:
     ranges over the algebra's members as cell masks, all at once."""
     algebra = ctx.algebra
     a, k = len(algebra), len(letters)
-    if a ** k > ASSIGNMENT_BUDGET:
-        raise BudgetExceeded(
-            f"{a}^{k} assignments exceeds budget {ASSIGNMENT_BUDGET}")
-    # Entry i of letter j's vector is the cell mask that assignment i gives
-    # letter j, assignments in ascending order of their algebra indices; the
-    # algebra lists its members in ascending order of their world masks.
-    vecs = ctx._letter_vectors.get(k)
-    if vecs is None:
-        worlds = _union_table(algebra.cells)
-        members = np.array(sorted(range(a), key=worlds.__getitem__), dtype=np.uint64)
-        idx = np.arange(a ** k, dtype=np.int64)
-        vecs = ctx._letter_vectors[k] = [
-            members[(idx // (a ** (k - 1 - i))) % a] for i in range(k)]
-    full = np.uint64((1 << len(algebra.cells)) - 1)
-
-    def box(dir, x):
-        return full ^ ctx.cell_table(dir)[full ^ x]
-
-    def dia(dir, x):
-        return ctx.cell_table(dir)[x]
-
-    res = _evaluate(f, dict(zip(letters, vecs)), full, box, dia)
-    point = next(i for i, cell in enumerate(algebra.cells)
-                 if (cell >> ctx.model.point) & 1)
-    ok = ((res >> np.uint64(point)) & np.uint64(1)).astype(bool)
-    if ok.all():
+    key = tuple(letters)
+    pool = ctx.pools.get(key)
+    if pool is None:
+        # The check precedes the pool, so a pool's letter list is affordable.
+        if a ** k > ASSIGNMENT_BUDGET:
+            raise BudgetExceeded(
+                f"{a}^{k} assignments exceeds budget {ASSIGNMENT_BUDGET}")
+        pool = ctx.pools[key] = _Pool(ctx, key)
+    memo = pool.memo
+    before = len(memo)
+    try:
+        bad = _evaluate(f, pool.atoms, pool.full, pool.box, pool.dia, memo).bad
+    finally:
+        ctx.spend((len(memo) - before) * _ENTRY_BYTES)
+    if bad < 0:
         return MlOutcome(True, how="exact sweep")
-    bad = int(np.argmin(ok))
     witness = {letter: algebra.sets[bad // a ** (k - 1 - i) % a]
                for i, letter in enumerate(letters)}
     return MlOutcome(False, witness=witness, how="exact sweep")
@@ -463,8 +621,7 @@ def _ml_status_uncached(ctx: _MlContext, f: Formula) -> MlOutcome:
     m = ctx.model
     letters = sorted(formula_letters(f))
     if not letters:
-        member = (eval_mask(m, f) >> m.point) & 1 == 1
-        return MlOutcome(bool(member), how="closed formula")
+        return MlOutcome(ctx.closed_mask(f) >> m.point & 1 == 1, how="closed formula")
     if ctx.algebra is not None:
         try:
             return _sweep(ctx, f, letters)

@@ -40,7 +40,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
-from .errors import BudgetExceeded, MixedDirections, SEARCH_BUDGET
+from .errors import BudgetExceeded, MixedDirections, SEARCH_BUDGET, _too_deep
 from .formula import (
     DOWN,
     UP,
@@ -59,7 +59,7 @@ from .formula import (
     letters as formula_letters,
 )
 from .frame import Frame, PointedModel, cluster, single_point
-from .semantics import FragmentReport, _too_deep, _union_table
+from .semantics import FragmentReport, _union_table
 
 
 class Theory(Enum):

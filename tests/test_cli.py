@@ -2,6 +2,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bikripke.cli import main
 from bikripke.frame import load, loads
@@ -86,6 +87,95 @@ class TestExitCodes:
         code, out, err = run(capsys, "parse", "p")
         assert code == 6
         assert "internal error: RuntimeError: boom" in err
+
+
+# Formula text over two letters, both directions and every connective; some
+# of it mixes directions, which the deciders refuse.
+_formula_text = st.recursive(
+    st.sampled_from(["p0", "p1", "true", "false"]),
+    lambda sub: st.one_of(
+        st.builds(lambda op, f: op + f, st.sampled_from(["~", "[u]", "<u>", "[d]", "<d>"]), sub),
+        st.builds(lambda f, op, g: f"({f} {op} {g})", sub,
+                  st.sampled_from(["&", "|", "->", "<->"]), sub)),
+    max_leaves=8)
+
+_MODEL_TEXT = """frame f
+worlds 3
+up 0 1
+up 1 2
+closure reflexive transitive
+point 0
+val p0 1 2
+val p1 0
+end
+"""
+
+
+@st.composite
+def _broken_frame_file(draw) -> bytes:
+    """A model file with lines dropped, repeated, cut, replaced or
+    inserted, possibly followed by raw bytes that need not be UTF-8."""
+    lines = _MODEL_TEXT.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "cut", "replace", "insert"]))
+        if edit == "drop" and len(lines) > 1:
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "cut":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        elif edit == "replace":
+            words = lines[i].split() or [""]
+            j = draw(st.integers(0, len(words) - 1))
+            words[j] = draw(st.one_of(st.integers(-2, 2 ** 70).map(str), st.text(max_size=6)))
+            lines[i] = " ".join(words)
+        else:
+            lines.insert(i, draw(st.text(max_size=20)))
+    data = "\n".join(lines).encode("utf-8", "surrogatepass")
+    return draw(st.one_of(st.just(data), st.binary(max_size=60).map(lambda b: data + b)))
+
+
+class TestFuzzMain:
+    """Whatever the input, main ends with a documented exit code (0-4) and
+    never reports an internal error."""
+
+    @staticmethod
+    def run(capsys, *argv) -> int:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:           # --help and the like
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3, 4), (argv, code, err)
+        assert "internal error" not in err, (argv, err)
+        return code
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(st.text(), _formula_text))
+    @example("-h")
+    @example("(" * 200 + "p" + ")" * 200)
+    def test_parse(self, capsys, text):
+        self.run(capsys, "parse", text)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["pl", "s4", "s4.2", "s5"]), st.one_of(st.text(), _formula_text))
+    @example("s4", "[u]p0 -> [u][u]p0")
+    @example("s5", "<u>p0 & <d>p1")
+    def test_decide(self, capsys, theory, text):
+        self.run(capsys, "decide", "--theory", theory, "--budget", "1000", text)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_broken_frame_file(), _formula_text)
+    @example(_MODEL_TEXT.encode(), "[u]p0")
+    @example(b"worlds 1\nval p0 0\npoint 0\nend\n\xff", "p0")
+    def test_check(self, capsys, tmp_path, data, text):
+        path = tmp_path / "model.txt"
+        path.write_bytes(data)
+        self.run(capsys, "check", "--frame", str(path), text)
 
 
 class TestCheckCommand:

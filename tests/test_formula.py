@@ -28,6 +28,7 @@ from bikripke.formula import (
     letters,
     modal_depth,
     parse,
+    polarity,
     print_formula,
     size,
     subformulas,
@@ -220,6 +221,48 @@ def test_substitution_composition(f, s1, s2):
 @given(_formula_strategy, _small_subst)
 def test_substitution_never_shrinks(f, s):
     assert size(substitute(f, s)) >= size(f)
+
+
+def ref_polarity(f, letter: str) -> int:
+    """Signs of the letter's occurrences, collected by a walk that carries
+    the sign: ~ and the left of -> flip it, both sides of <-> take both."""
+    signs, stack = set(), [(f, 1)]
+    while stack:
+        g, sign = stack.pop()
+        if isinstance(g, Atom):
+            if g.name == letter:
+                signs.add(sign)
+        elif isinstance(g, Not):
+            stack.append((g.sub, -sign))
+        elif isinstance(g, (Box, Dia)):
+            stack.append((g.sub, sign))
+        elif isinstance(g, Imp):
+            stack += [(g.left, -sign), (g.right, sign)]
+        elif isinstance(g, Iff):
+            stack += [(h, s) for h in (g.left, g.right) for s in (1, -1)]
+        elif isinstance(g, (And, Or)):
+            stack += [(g.left, sign), (g.right, sign)]
+    return signs.pop() if len(signs) == 1 else 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formula_strategy, st.sampled_from(["p0", "p1", "q", "r"]))
+def test_polarity_equals_reference(f, letter):
+    assert polarity(f, letter) == ref_polarity(f, letter)
+
+
+def test_polarity_visits_each_node_of_an_iff_chain_once(monkeypatch):
+    calls = []
+    walk = formula._polarities
+
+    def counted(g, letter, sign):
+        calls.append(g)
+        return walk(g, letter, sign)
+
+    monkeypatch.setattr(formula, "_polarities", counted)
+    f = parse(" <-> ".join(["p0"] * 12))
+    assert polarity(f, "p0") == 0
+    assert len(calls) == 23
 
 
 # ---------------------------------------------------------------------------

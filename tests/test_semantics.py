@@ -462,6 +462,55 @@ class TestMlCacheLimit:
         assert 1 <= size <= 7
 
 
+class TestSweepPool:
+    """The exact sweep keeps its values across queries, within a byte cap."""
+
+    @staticmethod
+    def answers(k, size):
+        m = combo_frame("cluster_below_bs", 2, 2, 1)
+        frag = ml_fragment(m, k, size, {UP, DOWN})
+        return [(f, frag.status[f], ml_status(m, f).how, ml_status(m, f).witness)
+                for f in frag.formulas]
+
+    @pytest.mark.parametrize("k, size", [(1, 5), (2, 4)])
+    def test_tiny_cap_same_answers(self, monkeypatch, k, size):
+        default = self.answers(k, size)
+        assert any(how == "exact sweep" for _, _, how, _ in default)
+        monkeypatch.setattr(semantics, "_POOL_BYTES", 1)
+        assert self.answers(k, size) == default
+
+    def test_retained_memory_bounded_by_cap(self, monkeypatch):
+        import tracemalloc
+
+        def retained():
+            tracemalloc.start()
+            try:
+                m = combo_frame("cluster_below_bs", 2, 2, 1)
+                ml_fragment(m, 2, 4, {UP, DOWN})
+                held = semantics._ml_context(m).held
+                return tracemalloc.get_traced_memory()[0], held
+            finally:
+                tracemalloc.stop()
+
+        bound = semantics._POOL_BYTES + (4 << 20)
+        current, held = retained()
+        assert held <= semantics._POOL_BYTES
+        assert current < bound
+        # Without the cap the same fragment keeps more than the bound.
+        monkeypatch.setattr(semantics, "_POOL_BYTES", 1 << 40)
+        assert retained()[0] > bound
+
+    def test_closed_formulas_share_one_memo(self):
+        m = combo_frame("cluster_below_bs", 2, 2, 1)
+        ctx = semantics._ml_context(m)
+        f = parse("<u>[u]true -> [d]false")
+        assert ml_status(m, f).how == "closed formula"
+        # Proper subformulas stay; the root does not.
+        assert parse("<u>[u]true") in ctx.closed and f not in ctx.closed
+        for g in ctx.closed:
+            assert ctx.closed[g] == eval_mask(m, g)
+
+
 def reflexive_model(r: random.Random, transitive: bool) -> PointedModel:
     """A random model with every world reflexive, closed transitively on
     request."""
@@ -553,3 +602,18 @@ class TestDeepFormulas:
         with pytest.raises(BudgetExceeded):
             ml_member(m, _deep_formula(3000))
         assert ml_status(m, _deep_formula(3)).status is not None
+
+    def test_print_substitute_polarity(self):
+        from bikripke.formula import polarity, print_formula
+        f = _deep_formula(3000)
+        for show in (print_formula, str, repr):
+            with pytest.raises(BudgetExceeded):
+                show(f)
+        with pytest.raises(BudgetExceeded):
+            substitute(f, {"p0": Top()})
+        with pytest.raises(BudgetExceeded):
+            polarity(f, "p0")
+        g = _deep_formula(3)
+        assert str(g) == "~[u]~[u]~[u]p0"
+        assert substitute(g, {"p0": Top()}) == parse("~[u]~[u]~[u]true")
+        assert polarity(g, "p0") == -1
