@@ -529,6 +529,10 @@ def substitute(f: Formula, s: Substitution) -> Formula:
         return go(f)
     except RecursionError:
         raise _too_deep() from None
+    finally:
+        # go refers to itself; without this it and the memo would wait for
+        # the cycle collector.
+        del go
 
 
 def _orient_to(f: Formula, d: Direction) -> Formula:

@@ -7,7 +7,6 @@ can never drift apart.  World sets are dense bitmasks wrapped in WorldSet.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Union
@@ -181,9 +180,8 @@ class Frame:
             if reach & ~up[i]:
                 transitive = False
                 break
-        antisymmetric = all(
-            not ((up[i] >> j) & 1 and (up[j] >> i) & 1)
-            for i in range(n) for j in range(n) if i != j)
+        down = self.down_masks
+        antisymmetric = all(up[i] & down[i] & ~(1 << i) == 0 for i in range(n))
         return FrameProperties(
             reflexive=reflexive,
             transitive=transitive,
@@ -194,14 +192,27 @@ class Frame:
 
     def _cone_directed(self, dir: Direction) -> bool:
         # For every world w and i, j in its cone, i and j must have a common
-        # one-step successor in dir.
-        masks = self.masks(dir)
-        cones = {w: self.cone_mask(w, dir) for w in range(self.n)}
-        for w in range(self.n):
-            cone = list(WorldSet(self.n, cones[w]))
-            for i, j in itertools.combinations_with_replacement(cone, 2):
-                if masks[i] & masks[j] == 0:
-                    return False
+        # one-step successor in dir.  The worlds that share one with i are
+        # the predecessors of i's successors, so the check fails at i iff
+        # the union of the cones that contain i leaves that set.
+        n = self.n
+        masks, back = self.masks(dir), self.masks(dir.converse)
+        together = [0] * n
+        for w in range(n):
+            cone = m = self.cone_mask(w, dir)
+            while m:
+                low = m & -m
+                together[low.bit_length() - 1] |= cone
+                m ^= low
+        for i in range(n):
+            shared = 0
+            m = masks[i]
+            while m:
+                low = m & -m
+                shared |= back[low.bit_length() - 1]
+                m ^= low
+            if together[i] & ~shared:
+                return False
         return True
 
     def __eq__(self, other):

@@ -2,7 +2,7 @@
 
 The extension of a formula is computed bottom-up by one memoised tree walk,
 _evaluate, generic in what a value is: int world masks for eval_mask and
-closed formulas, interned vectors for the exact sweep.
+closed formulas, bit-sliced ints for the exact sweep.
 The definable algebra of a model is the least family of world sets containing
 the valuation sets (plus the empty and full sets) closed under complement,
 intersection and both box preimages; on a finite model this equals the family
@@ -11,16 +11,15 @@ of unions of two-way bisimulation classes, which is how it is computed here.
 Membership in the substitution-closed fragment ml(m, f) quantifies the
 letters of f over the definable algebra.  When the algebra fits the budget
 the quantification is swept exactly on the quotient by those classes, for
-all assignments at once as vectors of class masks.  The sweep's values
-persist in the model's context, one pool per letter list: every distinct
-vector is stored once, with its first failing assignment, each operator is
-memoised on the numbers of its operands (the unique and computed tables of
-Bryant, "Graph-based algorithms for Boolean function manipulation", 1986),
-and a memo keeps the values of the subformulas swept so far, so a formula of
-the canonical enumeration, whose children were swept just before it, costs
-an operator lookup.  Closed formulas, whose value does not depend on the
-valuation, share a memo of world masks.  All of these are emptied together
-when their bytes pass a fixed cap (_POOL_BYTES).
+all assignments at once: a value is one Python int with a slice of one bit
+per assignment for each class, so the Boolean connectives are single int
+operations.  The sweep's values persist in the model's context, one pool
+per letter list: a memo keeps the values of the subformulas swept so far, so
+a formula of the canonical enumeration, whose children were swept just
+before it, costs one operation, and modal results are memoised on their
+argument.  Closed formulas, whose value does not depend on the valuation,
+share a memo of world masks.  All of these are emptied together when their
+bytes pass a fixed cap (_POOL_BYTES).
 
 Otherwise membership is resolved by certified reasoning: validity over the
 frame's class implies membership, and a model-checked refuting substitution
@@ -38,8 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .errors import (ALGEBRA_BUDGET, ASSIGNMENT_BUDGET, BadWorldIndex, BudgetExceeded,
                      _too_deep)
@@ -85,7 +82,7 @@ def eval_mask(m: PointedModel, f: Formula,
 
 def _evaluate(f: Formula, atoms: dict, full, box, dia, memo: dict | None = None):
     """Value of f, memoised per subformula, on any carrier closed under
-    ^ & |: int world masks, or the exact sweep's interned vectors.  atoms
+    ^ & |: int world masks, or the exact sweep's bit-sliced ints.  atoms
     maps letters to values (an absent letter is empty), full is the value of
     ⊤, and box(dir, x) and dia(dir, x) are the modal operators on the carrier.
     A memo passed in is kept across calls: afterwards it holds the values of
@@ -361,127 +358,84 @@ class _DirInfo:
 # and 42,822 in both.
 _ML_CACHE_LIMIT = 1 << 16
 
-# Bytes a model's value tables may hold: the exact sweep's interned vectors
-# with their operator tables and formula memos, and the closed formulas'
-# world masks.  Past it they are all emptied together after the walk.  On a
-# 512-set algebra of 9 cells a k=1 vector takes 1 KB, and a k=1, size <= 6
-# fragment holds about 0.3 MB in all (0.5 MB for both directions); a k=2
-# vector takes 512 KB.
+# Bytes a model's value tables may hold: the exact sweep's values with their
+# formula and modal memos, and the closed formulas' world masks.  Past it
+# they are all emptied together after the walk.  On a 512-set algebra of 9
+# cells a k=1 value takes 576 bytes, and a k=1, size <= 6 fragment is
+# charged 0.8 MB in all (2.4 MB for both directions); a k=2 value takes
+# 288 KB.
 _POOL_BYTES = 1 << 24
 
-# Bytes charged for one memo or operator-table entry: its dict slot, key
-# and reference, estimated.
+# Bytes charged for one memo or modal-memo entry besides its value: its
+# dict slot, key and reference, estimated.
 _ENTRY_BYTES = 100
 
 
-def _cell_dtype(cells) -> np.dtype:
-    """The narrowest unsigned integer type that holds a mask of the cells."""
-    return np.min_scalar_type((1 << len(cells)) - 1)
-
-
-class _Value:
-    """A distinct vector of one sweep pool, numbered in its pool: entry i is
-    a cell mask, the extension under assignment i of the formulas with this
-    value.  ^ & | look their operands' numbers up in the pool's operator
-    table and run NumPy only on a miss."""
-
-    __slots__ = ("vec", "no", "pool", "_bad")
-
-    @property
-    def bad(self) -> int:
-        """The first assignment whose value misses the point's cell, -1 when
-        none does; computed on first use."""
-        if self._bad is None:
-            miss = (self.vec & self.pool.bit) == 0
-            self._bad = int(miss.argmax()) if miss.any() else -1
-        return self._bad
-
-    def __xor__(self, other):
-        return self.pool.apply(self, other, 0, np.bitwise_xor)
-
-    def __and__(self, other):
-        return self.pool.apply(self, other, 1, np.bitwise_and)
-
-    def __or__(self, other):
-        return self.pool.apply(self, other, 2, np.bitwise_or)
-
-
 class _Pool:
-    """The exact sweep's values for one letter list: every distinct vector
-    once (Bryant's unique table), the operators on their numbers (his
-    computed table) and the values of formulas swept so far.
+    """The exact sweep's values for one letter list, and the values of the
+    formulas swept so far.
 
-    Entry i of letter j's vector is the cell mask that assignment i gives
-    letter j, assignments in ascending order of their algebra indices; the
-    algebra lists its members in ascending order of their world masks.  ⊤
-    and ⊥ are one-entry vectors, which NumPy broadcasts."""
+    A value is one int of q slices, one per cell, each a^k bits wide, the
+    point's cell in the lowest: bit i of slice c says that assignment i's
+    value contains cell c.  So ^ & | are the int operators, and the first
+    assignment failing at the point is the lowest clear bit of the lowest
+    slice.  Assignments are numbered with the first letter most significant,
+    members in the algebra's order, which lists them by ascending world mask.
+
+    Diamond of a slice is the OR of the slices of its cell's successor cells
+    (the cells are two-way bisimulation classes, so every world of a cell has
+    the same successor cells); results are memoised on direction and value."""
 
     def __init__(self, ctx: "_MlContext", letters: tuple[str, ...]):
         self.ctx = ctx
-        algebra = ctx.algebra
-        a, k = len(algebra), len(letters)
-        cells = algebra.cells
-        self.dtype = _cell_dtype(cells)
-        self.mask = self.dtype.type((1 << len(cells)) - 1)
-        self.bit = self.dtype.type(next(1 << i for i, cell in enumerate(cells)
-                                        if (cell >> ctx.model.point) & 1))
-        self.table: dict[bytes, _Value] = {}
-        self.ops: dict[int, _Value] = {}
-        self.memo: dict[Formula, _Value] = {}
-        worlds = _union_table(cells)
-        members = np.array(sorted(range(a), key=worlds.__getitem__), dtype=self.dtype)
-        self.atoms = {letter: self.intern(np.tile(np.repeat(members, a ** (k - 1 - i)), a ** i))
-                      for i, letter in enumerate(letters)}
-        self.full = self.intern(np.array([self.mask]))
+        m = ctx.model
+        a, k = len(ctx.algebra), len(letters)
+        cells = sorted(ctx.algebra.cells, key=lambda cell: not cell >> m.point & 1)
+        self.width = w = a ** k
+        self.low = (1 << w) - 1
+        self.full = (1 << len(cells) * w) - 1
+        members = ctx.algebra.masks()[::-1]
+        self.atoms = {}
+        for i, letter in enumerate(letters):
+            run = a ** (k - 1 - i)     # assignments in a row giving letter i one member
+            ones, zeros = "1" * run, "0" * run
+            value = 0
+            for cell in reversed(cells):
+                block = int("".join(ones if x & cell else zeros for x in members), 2)
+                span = a * run
+                while span < w:     # a is a power of 2, so doubling fills w
+                    block |= block << span
+                    span *= 2
+                value = value << w | block
+            self.atoms[letter] = value
+        self.succ = {d: [[s for s, other in enumerate(cells)
+                          if m.frame.masks(d)[(cell & -cell).bit_length() - 1] & other]
+                         for cell in cells] for d in (UP, DOWN)}
+        self.modal: dict[tuple[bool, int], int] = {}
+        self.memo: dict[Formula, int] = {}
+        # Bytes charged per stored value: at most q a^k bits, and its entry.
+        self.entry = _ENTRY_BYTES + self.full.bit_length() // 8
+        ctx.held += (len(letters) + 1) * self.entry
 
-    def intern(self, vec: np.ndarray) -> _Value:
-        key = vec.tobytes()
-        out = self.table.get(key)
+    def box(self, dir: Direction, x: int) -> int:
+        full = self.full
+        return full ^ self.dia(dir, full ^ x)
+
+    def dia(self, dir: Direction, x: int) -> int:
+        key = (dir is UP, x)    # a bool hashes faster than an Enum
+        out = self.modal.get(key)
         if out is None:
-            out = self.table[key] = _Value()
-            out.vec = np.frombuffer(key, dtype=self.dtype)
-            out.no = len(self.table)
-            out._bad = None
-            out.pool = self
-            self.ctx.held += len(key) + _ENTRY_BYTES
+            w, low, succs = self.width, self.low, self.succ[dir]
+            slices = [x >> s * w & low for s in range(len(succs))]
+            out = 0
+            for succ in reversed(succs):
+                part = 0
+                for s in succ:
+                    part |= slices[s]
+                out = out << w | part
+            self.modal[key] = out
+            self.ctx.held += self.entry
         return out
-
-    def apply(self, x: _Value, y: _Value, tag: int, op) -> _Value:
-        key = (x.no << 32 | y.no) << 3 | tag
-        out = self.ops.get(key)
-        if out is None:
-            out = self.record(key, op(x.vec, y.vec))
-        return out
-
-    def box(self, dir: Direction, x: _Value) -> _Value:
-        key = x.no << 3 | (4 if dir is UP else 5)
-        out = self.ops.get(key)
-        if out is None:
-            mask = self.mask
-            out = self.record(key, mask ^ self.ctx.cell_table(dir)[mask ^ x.vec])
-        return out
-
-    def dia(self, dir: Direction, x: _Value) -> _Value:
-        key = x.no << 3 | (6 if dir is UP else 7)
-        out = self.ops.get(key)
-        if out is None:
-            out = self.record(key, self.ctx.cell_table(dir)[x.vec])
-        return out
-
-    def record(self, key: int, vec: np.ndarray) -> _Value:
-        """Enter an operator's result under key in the operator table."""
-        out = self.ops[key] = self.intern(vec)
-        self.ctx.held += _ENTRY_BYTES
-        return out
-
-    def close(self) -> None:
-        """Drop every value at once.  Values refer back to their pool, so
-        otherwise their vectors would wait for the cycle collector."""
-        self.table.clear()
-        self.ops.clear()
-        self.memo.clear()
-        self.atoms.clear()
-        self.full = None
 
 
 class _MlContext:
@@ -500,7 +454,6 @@ class _MlContext:
     def __init__(self, m: PointedModel):
         self.model = m
         self._dirs: dict[Direction, _DirInfo] = {}
-        self._cell_tables: dict[Direction, np.ndarray] = {}
         self.pools: dict[tuple[str, ...], _Pool] = {}
         self.closed: dict[Formula, int] = {}
         self.held = 0
@@ -523,21 +476,6 @@ class _MlContext:
             self._dirs[dir] = _DirInfo(self, dir)
         return self._dirs[dir]
 
-    def cell_table(self, dir: Direction) -> np.ndarray:
-        """Diamond along dir of every set of the algebra's cells, indexed by
-        its cell mask.  The cells are two-way bisimulation classes, so a
-        cell's successor cells are the same from each of its worlds."""
-        table = self._cell_tables.get(dir)
-        if table is None:
-            cells = self.algebra.cells
-            succ = self.model.frame.masks(dir)
-            preds = [sum(1 << i for i, cell in enumerate(cells)
-                         if succ[(cell & -cell).bit_length() - 1] & other)
-                     for other in cells]
-            table = np.array(_union_table(preds), dtype=_cell_dtype(cells))
-            self._cell_tables[dir] = table
-        return table
-
     def closed_mask(self, f: Formula) -> int:
         """World mask of a formula without letters, through the closed memo."""
         frame = self.model.frame
@@ -551,8 +489,6 @@ class _MlContext:
         """Charge nbytes to the value tables; past _POOL_BYTES empty them."""
         self.held += nbytes
         if self.held > _POOL_BYTES:
-            for pool in self.pools.values():
-                pool.close()
             self.pools.clear()
             self.closed.clear()
             self.held = 0
@@ -582,11 +518,13 @@ def _sweep(ctx: _MlContext, f: Formula, letters: list[str]) -> MlOutcome:
     memo = pool.memo
     before = len(memo)
     try:
-        bad = _evaluate(f, pool.atoms, pool.full, pool.box, pool.dia, memo).bad
+        value = _evaluate(f, pool.atoms, pool.full, pool.box, pool.dia, memo)
     finally:
-        ctx.spend((len(memo) - before) * _ENTRY_BYTES)
-    if bad < 0:
+        ctx.spend((len(memo) - before) * pool.entry)
+    miss = value & pool.low ^ pool.low
+    if not miss:
         return MlOutcome(True, how="exact sweep")
+    bad = (miss & -miss).bit_length() - 1
     witness = {letter: algebra.sets[bad // a ** (k - 1 - i) % a]
                for i, letter in enumerate(letters)}
     return MlOutcome(False, witness=witness, how="exact sweep")

@@ -261,3 +261,15 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "valid"
+
+
+def test_library_runs_without_numpy():
+    code = ("import sys, bikripke\n"
+            "from bikripke.semantics import ml_status\n"
+            "m = bikripke.combo_frame('cluster_below_bs', 2, 2, 1)\n"
+            "frag = bikripke.ml_fragment(m, 1, 3, {bikripke.UP})\n"
+            "assert any(ml_status(m, f).how == 'exact sweep' for f in frag.formulas)\n"
+            "print(sorted(name for name in sys.modules if name.startswith('numpy')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

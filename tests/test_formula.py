@@ -122,6 +122,19 @@ def test_substitute_partial_map():
     assert substitute(And(p, q), {"p": Top()}) == And(Top(), q)
 
 
+def test_substitute_leaves_no_garbage_cycles():
+    f = Imp(p, Box(UP, And(p, Not(q))))
+    sigma = {"p": Dia(DOWN, q), "q": Top()}
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            substitute(f, sigma)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_letters_and_depth():
     f = parse("<u>[u]p0 -> p1")
     assert letters(f) == {"p0", "p1"}

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bikripke.errors import (
     BadWorldIndex,
@@ -10,6 +11,7 @@ from bikripke.errors import (
 )
 from bikripke.formula import DOWN, UP
 from bikripke.frame import (
+    Frame,
     WorldSet,
     bs_frame,
     bs_model,
@@ -170,6 +172,46 @@ class TestConverseCoherence:
         props = properties(single_point())
         assert props.reflexive and props.transitive and props.antisymmetric
         assert props.up_directed and props.down_directed
+
+
+def pairwise_antisymmetric(f: Frame) -> bool:
+    """Reference: no two distinct worlds see each other."""
+    return not any(f.up(i, j) and f.up(j, i)
+                   for i in range(f.n) for j in range(f.n) if i != j)
+
+
+def pairwise_directed(f: Frame, d) -> bool:
+    """Reference: any two worlds of one d-cone share a d-successor."""
+    for w in range(f.n):
+        cone = list(WorldSet(f.n, f.cone_mask(w, d)))
+        for i, j in itertools.combinations_with_replacement(cone, 2):
+            if f.masks(d)[i] & f.masks(d)[j] == 0:
+                return False
+    return True
+
+
+@st.composite
+def small_frames(draw):
+    n = draw(st.integers(1, 7))
+    rows = tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(n))
+    closure = draw(st.sampled_from([set(), {"reflexive"}, {"reflexive", "transitive"}]))
+    return make_frame(n, [(i, j) for i in range(n) for j in range(n)
+                          if (rows[i] >> j) & 1], closure)
+
+
+class TestPropsByBitOperations:
+    @settings(max_examples=300, deadline=None)
+    @given(small_frames())
+    @example(make_frame(3, [(0, 1), (0, 2)], {"reflexive", "transitive"}))
+    @example(make_frame(3, [(1, 0), (2, 0)], {"reflexive", "transitive"}))
+    @example(chain(4))
+    @example(cluster(3))
+    @example(single_point())
+    def test_flags_equal_pairwise_definitions(self, f):
+        props = f.props
+        assert props.antisymmetric == pairwise_antisymmetric(f)
+        assert props.up_directed == pairwise_directed(f, UP)
+        assert props.down_directed == pairwise_directed(f, DOWN)
 
 
 class TestFileFormat:

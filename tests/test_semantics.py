@@ -316,18 +316,25 @@ class TestCellTables:
     @settings(max_examples=60, deadline=None)
     @given(_model_and_cells(), st.sampled_from([UP, DOWN]))
     def test_tables_equal_loop(self, m, d):
+        # p0 ranges over every member, so its value holds every cell set.
         ctx = semantics._MlContext(m)
-        cells = ctx.algebra.cells
-        full = (1 << len(cells)) - 1
-        table = ctx.cell_table(d)
-        worlds = [sum(c for i, c in enumerate(cells) if (x >> i) & 1)
-                  for x in range(full + 1)]
-        xs = np.array(worlds, dtype=np.uint64)
-        loop = box_vector(m.frame.masks(d), xs).tolist()
-        for x in range(full + 1):
-            box = full ^ int(table[full ^ x])
-            assert worlds[box] == loop[x] == semantics._box_mask(m.frame, d, worlds[x])
-            assert worlds[int(table[x])] == semantics._dia_mask(m.frame, d, worlds[x])
+        algebra = ctx.algebra
+        pool = semantics._Pool(ctx, ("p0",))
+        cells = sorted(algebra.cells, key=lambda cell: not cell >> m.point & 1)
+        w = pool.width
+
+        def value(worlds):
+            """The sweep value whose assignment i holds worlds[i], a union of
+            cells: one slice per cell, bit i of a slice for assignment i."""
+            return sum(int("".join("1" if mask & cell else "0" for mask in reversed(worlds)), 2)
+                       << s * w for s, cell in enumerate(cells))
+
+        x = pool.atoms["p0"]
+        members = algebra.masks()
+        assert x == value(members)
+        assert pool.full == value([(1 << m.frame.n) - 1] * w)
+        assert pool.box(d, x) == value([semantics._box_mask(m.frame, d, y) for y in members])
+        assert pool.dia(d, x) == value([semantics._dia_mask(m.frame, d, y) for y in members])
 
     def test_sweep_same_as_world_level_loop(self):
         # The old world-level sweep: letters range over algebra members as
@@ -482,23 +489,23 @@ class TestSweepPool:
     def test_retained_memory_bounded_by_cap(self, monkeypatch):
         import tracemalloc
 
-        def retained():
+        def retained(size):
             tracemalloc.start()
             try:
                 m = combo_frame("cluster_below_bs", 2, 2, 1)
-                ml_fragment(m, 2, 4, {UP, DOWN})
+                ml_fragment(m, 2, size, {UP, DOWN})
                 held = semantics._ml_context(m).held
                 return tracemalloc.get_traced_memory()[0], held
             finally:
                 tracemalloc.stop()
 
         bound = semantics._POOL_BYTES + (4 << 20)
-        current, held = retained()
+        current, held = retained(4)
         assert held <= semantics._POOL_BYTES
         assert current < bound
-        # Without the cap the same fragment keeps more than the bound.
+        # Without the cap a larger fragment keeps more than the bound.
         monkeypatch.setattr(semantics, "_POOL_BYTES", 1 << 40)
-        assert retained()[0] > bound
+        assert retained(5)[0] > bound
 
     def test_closed_formulas_share_one_memo(self):
         m = combo_frame("cluster_below_bs", 2, 2, 1)
