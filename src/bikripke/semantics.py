@@ -415,7 +415,9 @@ class _Pool:
         self.memo: dict[Formula, int] = {}
         # Bytes charged per stored value: at most q a^k bits, and its entry.
         self.entry = _ENTRY_BYTES + self.full.bit_length() // 8
-        ctx.held += (len(letters) + 1) * self.entry
+        # The letters' values and ⊤, kept until the pool is dropped.
+        self.base = (len(letters) + 1) * self.entry
+        ctx.held += self.base
 
     def box(self, dir: Direction, x: int) -> int:
         full = self.full
@@ -448,8 +450,9 @@ class _MlContext:
     one sweep pool per letter list, built on the first sweep within the
     assignment budget, and a memo of closed formulas' world masks, which do
     not depend on the valuation.  held estimates their bytes; past
-    _POOL_BYTES all of them are emptied together, once the walk that passed
-    it ends, so a walk never loses the memo of its own subformulas."""
+    _POOL_BYTES the memos are emptied together, once the walk that passed it
+    ends, so a walk never loses the memo of its own subformulas.  The pools
+    keep their letter values, and go too only when those alone pass it."""
 
     def __init__(self, m: PointedModel):
         self.model = m
@@ -486,12 +489,19 @@ class _MlContext:
             self.spend((len(self.closed) - before) * (_ENTRY_BYTES + frame.n // 8))
 
     def spend(self, nbytes: int) -> None:
-        """Charge nbytes to the value tables; past _POOL_BYTES empty them."""
+        """Charge nbytes to the value tables; past _POOL_BYTES empty them.
+        The pools keep their letter values unless those alone pass it."""
         self.held += nbytes
         if self.held > _POOL_BYTES:
-            self.pools.clear()
             self.closed.clear()
             self.held = 0
+            for pool in self.pools.values():
+                pool.memo.clear()
+                pool.modal.clear()
+                self.held += pool.base
+            if self.held > _POOL_BYTES:
+                self.pools.clear()
+                self.held = 0
 
 
 def _ml_context(m: PointedModel) -> _MlContext:

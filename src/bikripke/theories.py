@@ -21,9 +21,10 @@ size ascending, edge sets lexicographic, valuations lexicographic, points
 ascending) so reported countermodels are reproducible byte for byte.
 
 Every decider compiles the formula once to a node list and runs it with
-_run over its own models: one bit per PL assignment, n-bit masks per S5
-colour subset, world masks per candidate countermodel, and int columns over
-the rows of the type space, one bit per type.
+_run.  The PL truth table, the S5 colour sweep and the countermodel search
+run a block of up to _BLOCK models of one n-world frame per _run, as n
+slices with one bit per model; the type space runs int columns over its
+rows, one bit per type.
 
 Every verdict goes through one bounded verdict store keyed by the oriented
 formula, so a DOWN formula and its UP twin share one record.  A record holds
@@ -38,6 +39,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import comb
 from typing import Optional
 
 from .errors import BudgetExceeded, MixedDirections, SEARCH_BUDGET, _too_deep
@@ -59,7 +61,7 @@ from .formula import (
     letters as formula_letters,
 )
 from .frame import Frame, PointedModel, cluster, single_point
-from .semantics import FragmentReport, _union_table
+from .semantics import FragmentReport
 
 
 class Theory(Enum):
@@ -210,38 +212,215 @@ def _run(nodes: list[tuple], atoms, full, box, dia) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Blocks of models
+# ---------------------------------------------------------------------------
+
+# Models run together in one _run.  A value is an int of n slices of m <=
+# _BLOCK bits, one slice per world: bit s of slice w says that world w
+# holds in model s of the block.  A power of 2, so a model index's low bits
+# repeat from block to block.
+_BLOCK = 1 << 10
+
+
+def _index_column(pos: int, rows: int) -> int:
+    """Bit j is bit pos of j, for j < rows, a power of 2 above 2^pos: blocks
+    of 2^pos zeros then ones, doubled."""
+    half = 1 << pos
+    col = ((1 << half) - 1) << half
+    span = half << 1
+    while span < rows:
+        col |= col << span
+        span <<= 1
+    return col
+
+
+# The index columns of one block, for the bits below _BLOCK.
+_COLUMNS = tuple(_index_column(pos, _BLOCK) for pos in range(_BLOCK.bit_length() - 1))
+
+# _BIT_OF[b] translates a byte to the digit "1" when its bit b is set, else
+# "0": runs of 2^b of each.
+_BIT_OF = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
+
+# Bits of box and diamond results a memo keeps before it empties itself.
+_MEMO_BITS = 1 << 20
+
+
+class _Same(dict):
+    """Box and diamond on a one-world reflexive frame: the identity."""
+
+    def __missing__(self, x: int) -> int:
+        return x
+
+
+_SAME = _Same()
+
+
+class _Modal(dict):
+    """Box or diamond on blocks of m models of one frame, memoised on the
+    argument: slice w of a diamond is the OR of the slices of w's
+    successors, and box is its dual, the complement of the diamond of the
+    complement, taken slice by slice."""
+
+    def __init__(self, rows: tuple[int, ...], m: int, box: bool):
+        super().__init__()
+        self.m = m
+        self.low = (1 << m) - 1
+        self.flip = self.low if box else 0
+        self.succ = [[v for v in range(len(rows)) if row >> v & 1]
+                     for row in rows]
+        self.room = max(1, _MEMO_BITS // (len(rows) * m))
+
+    def __missing__(self, x: int) -> int:
+        m, low, flip = self.m, self.low, self.flip
+        slices = [x >> w * m & low ^ flip for w in range(len(self.succ))]
+        out = 0
+        for succ in reversed(self.succ):
+            part = 0
+            for v in succ:
+                part |= slices[v]
+            out = out << m | part ^ flip
+        if len(self) >= self.room:
+            self.clear()
+        self[x] = out
+        return out
+
+
+@lru_cache(maxsize=32)
+def _modal(rows: tuple[int, ...], m: int) -> tuple[dict, dict]:
+    """(box, diamond) on blocks of m models of the frame whose worlds'
+    successor masks are rows."""
+    if rows == (1,):
+        return _SAME, _SAME
+    return _Modal(rows, m, True), _Modal(rows, m, False)
+
+
+@lru_cache(maxsize=128)
+def _count_atoms(k: int, n: int, start: int, m: int) -> tuple[int, ...]:
+    """The k letters' values on models start..start+m-1 of an n-world frame,
+    where model v gives letter i the world mask in bits i*n..i*n+n-1 of v:
+    slice w of letter i is the column of bit i*n+w of the model index.
+    These are PL's assignments (n = 1) and the search's valuations.  start
+    is a multiple of _BLOCK."""
+    low = (1 << m) - 1
+    atoms = []
+    for i in range(k):
+        value = 0
+        for pos in reversed(range(i * n, i * n + n)):
+            if pos < len(_COLUMNS):
+                col = _COLUMNS[pos] & low
+            else:
+                col = low if start >> pos & 1 else 0
+            value = value << m | col
+        atoms.append(value)
+    return tuple(atoms)
+
+
+@lru_cache(maxsize=128)
+def _s5_atoms(k: int, n: int, start: int, m: int) -> tuple[int, ...]:
+    """The k letters' values on the n-colour subsets start..start+m-1 of the
+    2^k colours, in lexicographic order, world w taking the subset's w-th
+    colour: bit s of slice w of letter i is bit i of that colour of subset
+    s.  Built from the block's first subset, found by unranking, forward, so
+    a block costs its own m subsets wherever it lies in the level."""
+    colours: list[int] = []
+    for c in itertools.islice(_subsets(1 << k, n, _unrank(1 << k, n, start)), m):
+        colours.extend(c)
+    width = (k + 7) // 8
+    atoms = [0] * k
+    for w in reversed(range(n)):
+        # Colour w of every subset, little-endian bytes each; letter i is
+        # bit i % 8 of byte i // 8, read from the last subset down.
+        raw = b"".join([c.to_bytes(width, "little") for c in colours[w::n]])
+        for i in range(k):
+            digits = raw[i // 8::width].translate(_BIT_OF[i % 8])[::-1]
+            atoms[i] = atoms[i] << m | int(digits, 2)
+    return tuple(atoms)
+
+
+def _refute(nodes: list[tuple], root: int, rows: tuple[int, ...], total: int,
+            atoms_of, k: int, used: int, budget: int, exceeded: str):
+    """Run f on models 0..total-1 of the frame whose worlds' successor masks
+    are rows, a block of up to _BLOCK of them per _run; atoms_of(k, n,
+    start, m) gives the k letters' values on models start..start+m-1 of an
+    n-world frame.
+
+    Returns (used, None) with the models counted into used when none
+    refutes f, else (used, block) for the first block with a model that
+    does, as (failing worlds, m, atoms) for _first_refuted.  A block is cut
+    to what remains of the budget; past it, raises
+    BudgetExceeded(exceeded)."""
+    n = len(rows)
+    start = 0
+    while start < total:
+        m = min(_BLOCK, total - start, budget - used)
+        if m <= 0:
+            raise BudgetExceeded(exceeded.format(budget))
+        box, dia = _modal(rows, m)
+        atoms = atoms_of(k, n, start, m)
+        full = (1 << n * m) - 1
+        fail = full ^ _run(nodes, atoms, full, box, dia)[root]
+        if fail:
+            return used, (fail, m, atoms)
+        used += m
+        start += m
+    return used, None
+
+
+def _first_refuted(block, n: int) -> tuple[int, list[int]]:
+    """The first refuted model of a block of an n-world frame, from
+    _refute: its lowest failing world and its letters' world masks."""
+    fail, m, atoms = block
+    # The model is the lowest bit failing in any slice.  Above bit m the
+    # shifts leave parts of higher slices, but some bit below m is set.
+    first = 0
+    for w in range(n):
+        first |= fail >> w * m
+    s = (first & -first).bit_length() - 1
+    if n == 1:              # most countermodels: the bits themselves
+        return 0, [a >> s & 1 for a in atoms]
+    point = 0
+    while not fail >> point * m + s & 1:
+        point += 1
+    masks = []
+    for a in atoms:
+        a >>= s
+        mask = 0
+        for w in range(n):
+            mask |= (a >> w * m & 1) << w
+        masks.append(mask)
+    return point, masks
+
+
+# ---------------------------------------------------------------------------
 # PL
 # ---------------------------------------------------------------------------
 
 def _pl_verdict(compiled: _Compiled, want_cm: bool,
                 budget: int = SEARCH_BUDGET) -> Verdict:
     """Truth-table the formula; raises BudgetExceeded past `budget`
-    assignments."""
+    assignments.  Assignment a gives letter i bit i of a."""
     nodes, root, lets = compiled
-    # Assignments in ascending order with letter i as bit i: letter 0 varies
-    # fastest, so each product tuple is read backwards.  Box and diamond on
-    # one reflexive point are the identity on one bit.
-    for used, bits in enumerate(itertools.product((0, 1), repeat=len(lets)), 1):
-        if used > budget:
-            raise BudgetExceeded(f"PL truth table exceeds {budget} assignments")
-        atoms = bits[::-1]
-        if not _run(nodes, atoms, 1, (0, 1), (0, 1))[root]:
-            if not want_cm:
-                return _INVALID
-            cm = PointedModel(single_point(), dict(zip(lets, atoms)), 0)
-            return Verdict(INVALID, countermodel=cm)
-    return _VALID
+    k = len(lets)
+    _, block = _refute(nodes, root, (1,), 1 << k, _count_atoms, k,
+                       0, budget, "PL truth table exceeds {} assignments")
+    if block is None:
+        return _VALID
+    if not want_cm:
+        return _INVALID
+    _, masks = _first_refuted(block, 1)
+    return Verdict(INVALID, countermodel=PointedModel(
+        single_point(), dict(zip(lets, masks)), 0))
 
 
 # ---------------------------------------------------------------------------
 # S5
 # ---------------------------------------------------------------------------
 
-def _subsets(pool: int, n: int):
-    """The n-element subsets of range(pool) in lexicographic order, as
-    itertools.combinations lists them, but without building the pool; one
-    list is yielded and updated in place."""
-    c = list(range(n))
+def _subsets(pool: int, n: int, first: list[int]):
+    """The n-element subsets of range(pool) in lexicographic order from
+    `first` on, as itertools.combinations lists them, but without building
+    the pool; one list is yielded and updated in place."""
+    c = list(first)
     while True:
         yield c
         i = n - 1
@@ -252,6 +431,21 @@ def _subsets(pool: int, n: int):
         c[i:] = range(c[i] + 1, c[i] + 1 + n - i)
 
 
+def _unrank(pool: int, n: int, r: int) -> list[int]:
+    """The r-th n-element subset of range(pool) in lexicographic order."""
+    c = []
+    x = 0
+    for rest in range(n - 1, 0, -1):
+        # comb(pool - x - 1, rest) subsets have x next, the rest above it.
+        while r >= (skip := comb(pool - x - 1, rest)):
+            r -= skip
+            x += 1
+        c.append(x)
+        x += 1
+    c.append(x + r)
+    return c
+
+
 def _s5_verdict(compiled: _Compiled, want_cm: bool,
                 budget: int = SEARCH_BUDGET) -> Verdict:
     """Sweep colour subsets; raises BudgetExceeded past `budget` of them."""
@@ -259,35 +453,21 @@ def _s5_verdict(compiled: _Compiled, want_cm: bool,
     k = len(lets)
     ncolors = 1 << k
     used = 0
-    # One node per distinct subformula, so len(nodes) == |sub(f)|.
-    bound = min(len(nodes) + 1, ncolors)
     # A universal model is determined up to duplicate worlds by its set of
     # letter profiles; sweeping color subsets in ascending lexicographic
     # order visits the canonical first countermodel of the full search.
-    for n in range(1, bound + 1):
-        full = (1 << n) - 1
-        # Box is full on full and empty elsewhere, diamond empty on empty and
-        # full elsewhere.  Their 2^n entries cost less than the at least
-        # 2^(n-1) - 1 smaller subsets swept before this size is reached.
-        box = [0] * full + [full]
-        dia = [0] + [full] * full
-        # One-world clusters, the most swept, come from zip: the same order
-        # without the generator's cost per subset.
-        for colors in zip(range(ncolors)) if n == 1 else _subsets(ncolors, n):
-            used += 1
-            if used > budget:
-                raise BudgetExceeded(f"S5 colour sweep exceeds {budget} models")
-            atoms = [0] * k
-            for i, c in enumerate(colors):
-                for li in range(k):
-                    atoms[li] |= ((c >> li) & 1) << i
-            res = _run(nodes, atoms, full, box, dia)[root]
-            if res != full:
-                if not want_cm:
-                    return _INVALID
-                point = (((full ^ res) & -(full ^ res)).bit_length()) - 1
-                cm = PointedModel(cluster(n), dict(zip(lets, atoms)), point)
-                return Verdict(INVALID, countermodel=cm)
+    # One node per distinct subformula, so len(nodes) == |sub(f)|.
+    for n in range(1, min(len(nodes) + 1, ncolors) + 1):
+        # One-colour clusters are PL's assignments.
+        used, block = _refute(nodes, root, ((1 << n) - 1,) * n, comb(ncolors, n),
+                              _count_atoms if n == 1 else _s5_atoms, k, used, budget,
+                              "S5 colour sweep exceeds {} models")
+        if block is not None:
+            if not want_cm:
+                return _INVALID
+            point, masks = _first_refuted(block, n)
+            return Verdict(INVALID, countermodel=PointedModel(
+                cluster(n), dict(zip(lets, masks)), point))
     return _VALID
 
 
@@ -330,16 +510,7 @@ def _type_space(compiled: _Compiled):
         raise BudgetExceeded(f"type space has 2^{b} candidate rows")
     rows = 1 << b
     full = (1 << rows) - 1
-    free = []
-    for pos in range(b):
-        # Rows with bit pos set: blocks of 2^pos zeros then ones, doubled.
-        half = 1 << pos
-        col = ((1 << half) - 1) << half
-        span = half << 1
-        while span < rows:
-            col |= col << span
-            span <<= 1
-        free.append(col)
+    free = [_index_column(pos, rows) for pos in range(b)]
     cols = _run(boolean, free, full, None, None)
     ok = full
     for k, (op, c, _) in enumerate(nodes):
@@ -496,26 +667,20 @@ def _search_countermodel(compiled: _Compiled, directed_only: bool,
     nodes, root, lets = compiled
     k = len(lets)
     used = 0
-    for n in range(1, _MAX_SEARCH_WORLDS + 1):
-        for rows, directed in _rt_frames(n):
-            if directed_only and not directed:
-                continue
-            full = (1 << n) - 1
-            # Diamond of a set: the union of its worlds' predecessor masks.
-            dia = _union_table([sum(((row >> v) & 1) << w for w, row in enumerate(rows))
-                                for v in range(n)])
-            box = [full ^ d for d in reversed(dia)]
-            for v in range(1 << (k * n)):
-                used += 1
-                if used > budget:
-                    return None, True
-                masks = [(v >> (i * n)) & full for i in range(k)]
-                res = _run(nodes, masks, full, box, dia)[root]
-                if res != full:
-                    point = ((full ^ res) & -(full ^ res)).bit_length() - 1
-                    frame = Frame(n, rows)
-                    valuation = {lets[i]: masks[i] for i in range(k)}
-                    return PointedModel(frame, valuation, point), False
+    try:
+        for n in range(1, _MAX_SEARCH_WORLDS + 1):
+            # Valuation v gives letter i the world mask in bits i*n..i*n+n-1.
+            for rows, directed in _rt_frames(n):
+                if directed_only and not directed:
+                    continue
+                used, block = _refute(nodes, root, rows, 1 << k * n, _count_atoms, k,
+                                      used, budget, "")
+                if block is not None:
+                    point, masks = _first_refuted(block, n)
+                    return PointedModel(Frame(n, rows), dict(zip(lets, masks)),
+                                        point), False
+    except BudgetExceeded:
+        pass
     return None, True
 
 

@@ -507,6 +507,37 @@ class TestSweepPool:
         monkeypatch.setattr(semantics, "_POOL_BYTES", 1 << 40)
         assert retained(5)[0] > bound
 
+    def test_emptying_keeps_the_letter_values(self, monkeypatch):
+        # The k=2, size <= 5 fragment passes the default cap several times.
+        def answers():
+            m = combo_frame("cluster_below_bs", 2, 2, 1)
+            frag = ml_fragment(m, 2, 5, {UP})
+            return [(f, frag.status[f], ml_status(m, f).witness)
+                    for f in frag.formulas]
+
+        builds = []
+        init = semantics._Pool.__init__
+
+        def counted(pool, ctx, letters):
+            builds.append(letters)
+            init(pool, ctx, letters)
+
+        monkeypatch.setattr(semantics._Pool, "__init__", counted)
+        spends = []
+        spend = semantics._MlContext.spend
+
+        def emptied(ctx, nbytes):
+            before = ctx.held
+            spend(ctx, nbytes)
+            spends.append(ctx.held < before + nbytes)
+
+        monkeypatch.setattr(semantics._MlContext, "spend", emptied)
+        default = answers()
+        assert any(spends)
+        assert len(builds) == len(set(builds))
+        monkeypatch.setattr(semantics, "_POOL_BYTES", 1 << 40)
+        assert answers() == default
+
     def test_closed_formulas_share_one_memo(self):
         m = combo_frame("cluster_below_bs", 2, 2, 1)
         ctx = semantics._ml_context(m)

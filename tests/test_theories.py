@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bikripke.errors import BudgetExceeded, MixedDirections
+from bikripke.errors import SEARCH_BUDGET, BudgetExceeded, MixedDirections
 from bikripke.formula import (
     DOWN,
     UP,
@@ -678,3 +678,180 @@ class TestTypeSpaceReference:
         assume(8 <= _width(compiled) <= 16)
         got, want = _both_verdicts(compiled)
         assert got == want, f
+
+
+# ---------------------------------------------------------------------------
+# Reference deciders: the per-model loops that the blocks of models
+# replaced, one _run per PL assignment, S5 colour subset and searched
+# valuation, kept as an oracle.
+# ---------------------------------------------------------------------------
+
+def ref_pl_verdict(compiled, budget):
+    nodes, root, lets = compiled
+    for used, bits in enumerate(itertools.product((0, 1), repeat=len(lets)), 1):
+        if used > budget:
+            raise BudgetExceeded(f"PL truth table exceeds {budget} assignments")
+        atoms = bits[::-1]
+        if not theories._run(nodes, atoms, 1, (0, 1), (0, 1))[root]:
+            return PointedModel(single_point(), dict(zip(lets, atoms)), 0)
+    return None
+
+
+def ref_s5_verdict(compiled, budget):
+    from bikripke.frame import cluster
+    nodes, root, lets = compiled
+    k = len(lets)
+    ncolors = 1 << k
+    used = 0
+    for n in range(1, min(len(nodes) + 1, ncolors) + 1):
+        full = (1 << n) - 1
+        box = [0] * full + [full]
+        dia = [0] + [full] * full
+        for colors in itertools.combinations(range(ncolors), n):
+            used += 1
+            if used > budget:
+                raise BudgetExceeded(f"S5 colour sweep exceeds {budget} models")
+            atoms = [0] * k
+            for i, c in enumerate(colors):
+                for li in range(k):
+                    atoms[li] |= ((c >> li) & 1) << i
+            res = theories._run(nodes, atoms, full, box, dia)[root]
+            if res != full:
+                point = ((full ^ res) & -(full ^ res)).bit_length() - 1
+                return PointedModel(cluster(n), dict(zip(lets, atoms)), point)
+    return None
+
+
+def ref_search_countermodel(compiled, directed_only, budget):
+    from bikripke.frame import Frame
+    from bikripke.semantics import _union_table
+    nodes, root, lets = compiled
+    k = len(lets)
+    used = 0
+    for n in range(1, theories._MAX_SEARCH_WORLDS + 1):
+        for rows, directed in theories._rt_frames(n):
+            if directed_only and not directed:
+                continue
+            full = (1 << n) - 1
+            dia = _union_table([sum(((row >> v) & 1) << w for w, row in enumerate(rows))
+                                for v in range(n)])
+            box = [full ^ d for d in reversed(dia)]
+            for v in range(1 << (k * n)):
+                used += 1
+                if used > budget:
+                    return None, True
+                masks = [(v >> (i * n)) & full for i in range(k)]
+                res = theories._run(nodes, masks, full, box, dia)[root]
+                if res != full:
+                    point = ((full ^ res) & -(full ^ res)).bit_length() - 1
+                    valuation = {lets[i]: masks[i] for i in range(k)}
+                    return PointedModel(Frame(n, rows), valuation, point), False
+    return None, True
+
+
+def _dumped(cm):
+    return None if cm is None else dumps(cm)
+
+
+def _or_exceeded(run):
+    try:
+        return run()
+    except BudgetExceeded as e:
+        return ("exceeded", str(e))
+
+
+def block_answers(f, budget, search=True):
+    """PL and S5 countermodels (None when valid) or BudgetExceeded, and the
+    S4 and S4.2 searches' (countermodel, exhausted), all dumped."""
+    compiled = theories._compile(theories.orient(f)[0])
+    out = [_or_exceeded(lambda: _dumped(decider(compiled, True, budget).countermodel))
+           for decider in (theories._pl_verdict, theories._s5_verdict)]
+    if search:
+        for directed in (False, True):
+            cm, spent = theories._search_countermodel(compiled, directed, budget)
+            out.append((_dumped(cm), spent))
+    return out
+
+
+def ref_answers(f, budget, search=True):
+    compiled = theories._compile(theories.orient(f)[0])
+    out = [_or_exceeded(lambda: _dumped(ref(compiled, budget)))
+           for ref in (ref_pl_verdict, ref_s5_verdict)]
+    if search:
+        for directed in (False, True):
+            cm, spent = ref_search_countermodel(compiled, directed, budget)
+            out.append((_dumped(cm), spent))
+    return out
+
+
+class TestBlocksAgainstReference:
+    """The block deciders give the per-model loops' verdicts, countermodels
+    and budget outcomes."""
+
+    def test_every_two_letter_formula_to_size_5(self):
+        for f in enumerate_formulas(2, 5, {UP}):
+            assert block_answers(f, SEARCH_BUDGET, False) == \
+                ref_answers(f, SEARCH_BUDGET, False), f
+        # The searches with a budget small enough for the reference loop.
+        for f in itertools.islice(enumerate_formulas(2, 5, {UP}), 0, None, 5):
+            assert block_answers(f, 300)[2:] == ref_answers(f, 300)[2:], f
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([3, 4]), st.integers(1, 7000))
+    @example(65, 4, 7000)   # S5-valid, 22 nodes: level 5 runs out mid-block
+    @example(65, 4, 3000)
+    def test_random_three_and_four_letter_formulas(self, seed, k, budget):
+        # Level 5 of 16 colours spans 5 blocks, past 2,516 smaller subsets.
+        f = random_formula(random.Random(seed), 25, letters=k, dirs=(UP,))
+        assert block_answers(f, budget) == ref_answers(f, budget), f
+
+    @pytest.mark.parametrize("text", [
+        "~(p0 & <u>(p1 & ~p0) & p2 & <u>~p3)",
+        "~(p0 & <u>(p1 & ~p0 & ~p2) & <u>(p2 & ~p0 & ~p1) & <u>~p3)",
+        "~(p0 & <u>(p1 & ~p0 & <u>(p2 & ~p1 & ~p0)) & [u]~p3)",
+    ])
+    def test_four_letter_countermodels_of_two_and_three_worlds(self, text):
+        # 256 valuations per 2-world frame, 4,096 (four blocks) per 3-world one.
+        f = parse(text)
+        got = block_answers(f, SEARCH_BUDGET)
+        assert got == ref_answers(f, SEARCH_BUDGET)
+        for cm, _ in got[2:]:
+            assert "worlds 2" in cm or "worlds 3" in cm
+
+    @pytest.mark.parametrize("text", [
+        "b -> a0 | a1 | a2 | a3 | a4 | a5 | a6 | a7 | a8 | a9",   # PL: fails at 1,024
+        "[u](s0 & s1 & s2 & s3) -> s0",                          # S5 level 4 cut
+        "~(p0 & <u>(p1 & ~p0 & ~p2) & <u>(p2 & ~p0 & ~p1) & <u>~p3)",
+    ])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_budgets_at_a_block_edge(self, text, delta):
+        budget = theories._BLOCK + delta
+        f = parse(text)
+        assert block_answers(f, budget) == ref_answers(f, budget)
+
+    @pytest.mark.parametrize("budget", [254, 255])
+    def test_s5_budget_at_the_last_subset(self, budget):
+        # S5-valid with 3 letters: all 255 colour subsets are swept.
+        f = parse("[u](s0 & s1 & s2) -> s0")
+        got = block_answers(f, budget, False)
+        assert got == ref_answers(f, budget, False)
+        assert (got[1] is None) == (budget == 255)
+
+
+class TestBlockCaches:
+    def test_retain_little_after_exhausting_budgets(self, empty_store):
+        import tracemalloc
+        caches = (theories._count_atoms, theories._s5_atoms, theories._modal)
+        for cache in caches:
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="S5 colour sweep"):
+                decide(S5, parse("[u](p0 & p1 & p2 & p3 & p4) -> p0"))
+            f = parse(" & ".join(f"x{i:02}" for i in range(20)) + " -> x00")
+            assert decide(PL, f, budget=1 << 20).is_valid
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(cache.cache_info().currsize for cache in caches)
+        assert retained < 8 << 20
