@@ -1,9 +1,10 @@
 """Bimodal propositional language.
 
-Interned AST constructors, a recursive-descent parser for the ASCII grammar,
-a canonical minimal-parenthesis printer, simultaneous substitution,
-structural queries, and the canonical size-lexicographic enumeration used
-for fragment sweeps.
+Interned AST constructors, an operator-precedence parser for the ASCII
+grammar (one regex lexes the text, one loop over an operator stack builds
+the tree, without recursion), a canonical minimal-parenthesis printer,
+simultaneous substitution, structural queries, and the canonical
+size-lexicographic enumeration used for fragment sweeps.
 
 Grammar (whitespace insensitive)::
 
@@ -107,13 +108,17 @@ def _new(cls, key, h: int, letters: frozenset, dirs: int, depth: int):
     return f
 
 
+# A letter identifier, as the constructor checks it and the lexer reads it.
+_IDENT = re.compile(r"[a-z][a-z0-9]*")
+
+
 class Atom(Formula):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
         f = _live(name) if type(name) is str else None
         if f is None:
-            if not re.fullmatch(r"[a-z][a-z0-9]*", name) or name in ("true", "false"):
+            if not _IDENT.fullmatch(name) or name in ("true", "false"):
                 raise ValueError(f"bad letter identifier: {name!r}")
             f = _new(cls, name, hash(("Atom", name)), frozenset((name,)), 0, 0)
             f.name = name
@@ -225,150 +230,109 @@ Substitution = Mapping[str, Formula]
 # the interpreter's recursion limit.
 MAX_NESTING = 100
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<iff><->)
-      | (?P<imp>->)
-      | (?P<boxu>\[u\]|\[\])
-      | (?P<boxd>\[d\])
-      | (?P<diau><u>|<>)
-      | (?P<diad><d>)
-      | (?P<not>~)
-      | (?P<and>&)
-      | (?P<or>\|)
-      | (?P<lp>\()
-      | (?P<rp>\))
-      | (?P<ident>[a-z][a-z0-9]*)
-    """,
-    re.VERBOSE,
-)
+# The lexer's groups are a symbol, a letter and a stray character; findall
+# gives one (symbol, letter, stray) triple per token, with two of them empty.
+# Blanks are eaten after a token, not before: findall retries a failed match
+# from every position, and a leading \s* would rescan trailing blanks from
+# each of them.
+_LEX = re.compile(
+    r"(?:(<->|->|\[[ud]?\]|<[ud]?>|[~&|()])|(" + _IDENT.pattern + r")|(\S))\s*")
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.open = 0       # prefix operands, parentheses, '->' operands
-
-    def nest(self) -> None:
-        self.open += 1
-        if self.open > MAX_NESTING:
-            raise FormulaSyntaxError(
-                f"formula nests more than {MAX_NESTING} deep", self.tokens[self.i - 1][2])
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def error(self, expected: set[str]):
-        kind, text, pos = self.peek()
-        shown = text if kind != "eof" else "end of input"
-        raise FormulaSyntaxError(f"unexpected {shown!r}", pos, frozenset(expected))
-
-    def parse(self) -> Formula:
-        f = self.iff()
-        if self.peek()[0] != "eof":
-            self.error({"end of input", "binary operator"})
-        return f
-
-    def iff(self) -> Formula:
-        f = self.imp()
-        while self.peek()[0] == "iff":
-            self.take()
-            f = Iff(f, self.imp())
-        return f
-
-    def imp(self) -> Formula:
-        f = self.or_()
-        if self.peek()[0] == "imp":
-            self.take()
-            self.nest()
-            f = Imp(f, self.imp())
-            self.open -= 1
-        return f
-
-    def or_(self) -> Formula:
-        f = self.and_()
-        while self.peek()[0] == "or":
-            self.take()
-            f = Or(f, self.and_())
-        return f
-
-    def and_(self) -> Formula:
-        f = self.unary()
-        while self.peek()[0] == "and":
-            self.take()
-            f = And(f, self.unary())
-        return f
-
-    _UNARY = {
-        "not": lambda sub: Not(sub),
-        "boxu": lambda sub: Box(UP, sub),
-        "boxd": lambda sub: Box(DOWN, sub),
-        "diau": lambda sub: Dia(UP, sub),
-        "diad": lambda sub: Dia(DOWN, sub),
-    }
-
-    def unary(self) -> Formula:
-        kind = self.peek()[0]
-        ctor = self._UNARY.get(kind)
-        if ctor is not None:
-            self.take()
-            self.nest()
-            f = ctor(self.unary())
-            self.open -= 1
-            return f
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, text, pos = self.peek()
-        if kind == "ident":
-            self.take()
-            if text == "true":
-                return TRUE
-            if text == "false":
-                return FALSE
-            return Atom(text)
-        if kind == "lp":
-            self.take()
-            self.nest()
-            f = self.iff()
-            if self.peek()[0] != "rp":
-                self.error({"')'"})
-            self.take()
-            self.open -= 1
-            return f
-        self.error({"'~'", "'[u]'", "'<u>'", "'[d]'", "'<d>'",
-                    "'('", "letter", "'true'", "'false'"})
+# Operator stack entries are (precedence, constructor, argument): a binary
+# operator keeps its left operand, a modal its direction, ~ None and '('
+# nothing.  A binary operator first reduces the entries on top whose
+# precedence is at least its threshold: its own precedence (left
+# associative), one more for '->' (right associative).  Any other token
+# after an operand reduces every binary operator down to '(' or the bottom.
+_PREFIX = 5
+_OPEN = (0, None, None)
+_BOTTOM = (-1, None, None)
+_OPENERS = {
+    "~": (_PREFIX, Not, None),
+    "[u]": (_PREFIX, Box, UP), "[]": (_PREFIX, Box, UP), "[d]": (_PREFIX, Box, DOWN),
+    "<u>": (_PREFIX, Dia, UP), "<>": (_PREFIX, Dia, UP), "<d>": (_PREFIX, Dia, DOWN),
+    "(": _OPEN,
+}
+_BINARIES = {"<->": (1, 1, Iff), "->": (2, 3, Imp), "|": (3, 3, Or), "&": (4, 4, And)}
+_NOT_BINARY = (None, 1, None)
+_CONSTANTS = {"true": TRUE, "false": FALSE}
+_END = ("", "", "")
+_OPERAND = frozenset({"'~'", "'[u]'", "'<u>'", "'[d]'", "'<d>'",
+                      "'('", "letter", "'true'", "'false'"})
+_CLOSE = frozenset({"')'"})
+_AFTER = frozenset({"end of input", "binary operator"})
 
 
 def parse(text: str) -> Formula:
     """Parse formula text into its unique AST; raises FormulaSyntaxError,
     also for formulas nested deeper than MAX_NESTING."""
-    f = _Parser(text).parse()
-    # Chains of '&', '|' and '<->' deepen the tree without parser recursion.
-    if f._depth > MAX_NESTING:
-        raise FormulaSyntaxError(f"formula nests more than {MAX_NESTING} deep", 0)
-    return f
+    tokens = _LEX.findall(text)
+    end = len(tokens)
+    tokens.append(_END)
+    stack = [_BOTTOM]
+    open = i = 0        # prefix operands, parentheses, '->' operands
+    while True:
+        sym, name, _ = tokens[i]
+        i += 1
+        if not name:
+            entry = _OPENERS.get(sym)
+            if entry is None:
+                raise _syntax_error(text, i - 1, _OPERAND)
+            open += 1
+            if open > MAX_NESTING:
+                raise _syntax_error(text, i - 1)
+            stack.append(entry)
+            continue
+        f = _CONSTANTS.get(name) or Atom(name)
+        while True:         # f is a complete operand
+            while stack[-1][0] == _PREFIX:
+                _, ctor, d = stack.pop()
+                f = Not(f) if d is None else ctor(d, f)
+                open -= 1
+            sym = tokens[i][0]
+            i += 1
+            prec, threshold, ctor = _BINARIES.get(sym, _NOT_BINARY)
+            while stack[-1][0] >= threshold:
+                _, c, left = stack.pop()
+                f = c(left, f)
+                if c is Imp:
+                    open -= 1
+            if ctor is not None:
+                if ctor is Imp:
+                    open += 1
+                    if open > MAX_NESTING:
+                        raise _syntax_error(text, i - 1)
+                stack.append((prec, ctor, f))
+                break
+            if sym == ")" and stack[-1] is _OPEN:
+                stack.pop()
+                open -= 1
+            elif i > end and stack[-1] is _BOTTOM:
+                # Chains of '&', '|' and '<->' deepen the tree without
+                # opening anything.
+                if f._depth > MAX_NESTING:
+                    raise FormulaSyntaxError(
+                        f"formula nests more than {MAX_NESTING} deep", 0)
+                return f
+            else:
+                raise _syntax_error(
+                    text, i - 1, _CLOSE if stack[-1] is _OPEN else _AFTER)
+
+
+def _syntax_error(text: str, i: int, expected: frozenset | None = None):
+    """The error at token i: past the nesting limit if expected is None,
+    else unexpected.  A stray character anywhere in the text comes first,
+    as the lexer would have met it before the parser saw any token."""
+    found = []
+    for m in _LEX.finditer(text):
+        sym, name, stray = m.groups()
+        if stray:
+            return FormulaSyntaxError(f"unexpected character {stray!r}", m.start(3))
+        found.append((m.start(m.lastindex), sym or name))
+    offset, shown = found[i] if i < len(found) else (len(text), "end of input")
+    if expected is None:
+        return FormulaSyntaxError(f"formula nests more than {MAX_NESTING} deep", offset)
+    return FormulaSyntaxError(f"unexpected {shown!r}", offset, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -620,33 +620,29 @@ _MAX_SEARCH_WORLDS = 5
 def _rt_frames(n: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
     """All reflexive transitive frames on n worlds as adjacency-mask rows,
     ascending in the row-major edge bitmap, paired with their cone
-    directedness flag."""
+    directedness flag.
+
+    Each extends an (n-1)-world one by world n-1: the old worlds it sees
+    are closed upward, those that see it closed downward, and each of the
+    latter sees all of the former; every such choice is transitive."""
     if n == 1:
         return (((1,), True),)
+    old, new = range(n - 1), 1 << (n - 1)
     out = []
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for combo in range(1 << len(offdiag)):
-        rows = [1 << i for i in range(n)]
-        for b, (i, j) in enumerate(offdiag):
-            if (combo >> b) & 1:
-                rows[i] |= 1 << j
-        transitive = True
-        for i in range(n):
-            reach = 0
-            m = rows[i]
-            while m:
-                low = m & -m
-                reach |= rows[low.bit_length() - 1]
-                m ^= low
-            if reach & ~rows[i]:
-                transitive = False
-                break
-        if not transitive:
-            continue
-        frame = Frame(n, tuple(rows))
-        out.append((tuple(rows), frame.props.up_directed))
-    out.sort(key=lambda item: _edge_bitmap(item[0]))
-    return tuple(out)
+    for rows, _ in _rt_frames(n - 1):
+        ups = [s for s in range(new) if all(rows[w] & ~s == 0 for w in old if s >> w & 1)]
+        downs = [p for p in range(new) if all(p >> w & 1 for w in old if rows[w] & p)]
+        for p in downs:
+            seen_by_all = new - 1
+            for w in old:
+                if p >> w & 1:
+                    seen_by_all &= rows[w]
+            grown = tuple(row | new if p >> w & 1 else row for w, row in enumerate(rows))
+            for s in ups:
+                if not s & ~seen_by_all:
+                    out.append(grown + (s | new,))
+    out.sort(key=_edge_bitmap)
+    return tuple((rows, Frame(n, rows).props.up_directed) for rows in out)
 
 
 def _edge_bitmap(rows: tuple[int, ...]) -> int:

@@ -27,6 +27,22 @@ class TestParseCommand:
         assert "offset" in err
 
 
+    @pytest.mark.parametrize("argv, err", [
+        (["decide", "--theory", "s4", "p -> "],
+         b"error: unexpected 'end of input' at offset 5 (expected '(', '<d>', "
+         b"'<u>', '[d]', '[u]', 'false', 'true', '~', letter)\n"),
+        (["parse", "p @ q"], b"error: unexpected character '@' at offset 2\n"),
+        (["parse", "(p"], b"error: unexpected 'end of input' at offset 2 (expected ')')\n"),
+        (["parse", "p q"],
+         b"error: unexpected 'q' at offset 2 (expected binary operator, end of input)\n"),
+        (["parse", "~" * 101 + "p"], b"error: formula nests more than 100 deep at offset 100\n"),
+    ])
+    def test_syntax_error_output_is_pinned(self, argv, err):
+        proc = subprocess.run([sys.executable, "-m", "bikripke.cli", *argv],
+                              capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", err)
+
+
 class TestDecideCommand:
     def test_valid_exit_0(self, capsys):
         code, out, _ = run(capsys, "decide", "--theory", "s4.2",

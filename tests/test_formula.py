@@ -2,6 +2,9 @@ import copy
 import gc
 import itertools
 import pickle
+import re
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +81,232 @@ def test_syntax_error_offset_and_expected():
     with pytest.raises(FormulaSyntaxError) as exc:
         parse("p @ q")
     assert exc.value.offset == 2
+
+
+# ---------------------------------------------------------------------------
+# The recursive-descent parser the precedence loop replaced, kept as the
+# reference: parse must return the same node or raise the same error.
+# ---------------------------------------------------------------------------
+
+_REF_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<iff><->)
+      | (?P<imp>->)
+      | (?P<boxu>\[u\]|\[\])
+      | (?P<boxd>\[d\])
+      | (?P<diau><u>|<>)
+      | (?P<diad><d>)
+      | (?P<not>~)
+      | (?P<and>&)
+      | (?P<or>\|)
+      | (?P<lp>\()
+      | (?P<rp>\))
+      | (?P<ident>[a-z][a-z0-9]*)
+    """,
+    re.VERBOSE,
+)
+
+
+def _ref_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        if kind != "ws":
+            tokens.append((kind, m.group(), pos))
+        pos = m.end()
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, text):
+        self.tokens = _ref_tokenize(text)
+        self.i = 0
+        self.open = 0       # prefix operands, parentheses, '->' operands
+
+    def nest(self):
+        self.open += 1
+        if self.open > MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"formula nests more than {MAX_NESTING} deep", self.tokens[self.i - 1][2])
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def error(self, expected):
+        kind, text, pos = self.peek()
+        shown = text if kind != "eof" else "end of input"
+        raise FormulaSyntaxError(f"unexpected {shown!r}", pos, frozenset(expected))
+
+    def parse(self):
+        f = self.iff()
+        if self.peek()[0] != "eof":
+            self.error({"end of input", "binary operator"})
+        return f
+
+    def iff(self):
+        f = self.imp()
+        while self.peek()[0] == "iff":
+            self.take()
+            f = Iff(f, self.imp())
+        return f
+
+    def imp(self):
+        f = self.or_()
+        if self.peek()[0] == "imp":
+            self.take()
+            self.nest()
+            f = Imp(f, self.imp())
+            self.open -= 1
+        return f
+
+    def or_(self):
+        f = self.and_()
+        while self.peek()[0] == "or":
+            self.take()
+            f = Or(f, self.and_())
+        return f
+
+    def and_(self):
+        f = self.unary()
+        while self.peek()[0] == "and":
+            self.take()
+            f = And(f, self.unary())
+        return f
+
+    _UNARY = {
+        "not": lambda sub: Not(sub),
+        "boxu": lambda sub: Box(UP, sub),
+        "boxd": lambda sub: Box(DOWN, sub),
+        "diau": lambda sub: Dia(UP, sub),
+        "diad": lambda sub: Dia(DOWN, sub),
+    }
+
+    def unary(self):
+        kind = self.peek()[0]
+        ctor = self._UNARY.get(kind)
+        if ctor is not None:
+            self.take()
+            self.nest()
+            f = ctor(self.unary())
+            self.open -= 1
+            return f
+        return self.atom()
+
+    def atom(self):
+        kind, text, pos = self.peek()
+        if kind == "ident":
+            self.take()
+            if text == "true":
+                return Top()
+            if text == "false":
+                return Bot()
+            return Atom(text)
+        if kind == "lp":
+            self.take()
+            self.nest()
+            f = self.iff()
+            if self.peek()[0] != "rp":
+                self.error({"')'"})
+            self.take()
+            self.open -= 1
+            return f
+        self.error({"'~'", "'[u]'", "'<u>'", "'[d]'", "'<d>'",
+                    "'('", "letter", "'true'", "'false'"})
+
+
+def ref_parse(text):
+    f = _RefParser(text).parse()
+    if f._depth > MAX_NESTING:
+        raise FormulaSyntaxError(f"formula nests more than {MAX_NESTING} deep", 0)
+    return f
+
+
+def _outcome(parser, text):
+    """The node parser returns for text, or its error's message, offset and
+    expected set."""
+    try:
+        return parser(text)
+    except FormulaSyntaxError as exc:
+        return (str(exc), exc.offset, exc.expected)
+
+
+def _assert_same_as_reference(text):
+    got, want = _outcome(parse, text), _outcome(ref_parse, text)
+    assert got is want or (type(got) is tuple and got == want), text
+
+
+_GRAMMAR_TOKENS = ["~", "[u]", "[d]", "<u>", "<d>", "[]", "<>", "&", "|", "->",
+                   "<->", "(", ")", "p", "q0", "true", "false"]
+_STRAY = ["@", "X", "[", "<", "-", "]", ">"]
+_BLANKS = ["", " ", "  ", "\t", "\n"]
+_token_soup = st.lists(
+    st.tuples(st.sampled_from(_GRAMMAR_TOKENS * 8 + _STRAY), st.sampled_from(_BLANKS)),
+    max_size=30,
+).map(lambda pairs: "".join(tok + blank for tok, blank in pairs))
+
+
+@settings(max_examples=3000, deadline=None)
+@given(_token_soup, st.sampled_from(_BLANKS))
+def test_parse_equals_reference_on_token_soup(text, trailing):
+    _assert_same_as_reference(text + trailing)
+
+
+def test_parse_equals_reference_at_the_nesting_limit():
+    for n in (MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1):
+        for text in ["~" * n + "p",
+                     "(" * n + "p" + ")" * n,
+                     "(" * n + "p" + ")" * (n - 1),
+                     "p -> " * n + "p",
+                     " & ".join(["p"] * (n + 1)),
+                     " <-> ".join(["p"] * (n + 1)),
+                     "[u]<d>~" * (n // 3) + "(p -> " * (n % 3) + "p" + ")" * (n % 3),
+                     "p -> (" * (n // 2) + "q" + ")" * (n // 2),
+                     "~(" * (n // 2) + "p" + ")" * (n // 2) + " @",
+                     "~" * n + "p &",
+                     "p -> ~" * (n // 2) + "q <-> r -> ~" * (n // 2) + "s"]:
+            _assert_same_as_reference(text)
+            _assert_same_as_reference(text + " q")
+
+
+def test_long_runs_of_blanks_lex_in_linear_time():
+    # A lexer that skips blanks before each token rescans trailing blanks
+    # from every position: seconds at this length.
+    blanks = " " * 20_000
+    start = time.perf_counter()
+    assert parse(blanks + "p" + blanks + "-> q" + blanks) is parse("p -> q")
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse("p ->" + blanks)
+    assert exc.value.offset == 4 + len(blanks)
+    assert time.perf_counter() - start < 1.0
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_parse_does_not_recurse():
+    texts = ["~" * 100 + "p", "(" * 100 + "p" + ")" * 100, "p -> " * 100 + "p"]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        depths = [parse(text)._depth for text in texts]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert depths == [100, 0, 100]
 
 
 def test_nesting_limit():
@@ -218,7 +447,19 @@ _small_subst = st.dictionaries(st.sampled_from(["p0", "p1", "q"]),
 @settings(max_examples=200, deadline=None)
 @given(_formula_strategy)
 def test_roundtrip_random_ast(f):
-    assert parse(print_formula(f)) == f
+    assert parse(print_formula(f)) is f
+
+
+@settings(max_examples=500, deadline=None)
+@given(_formula_strategy, st.data())
+def test_parse_equals_reference_on_formula_prefixes(f, data):
+    tokens = re.findall(r"<->|->|\[.\]|<.>|\w+|\S", print_formula(f))
+    blanks = data.draw(st.lists(st.sampled_from(_BLANKS),
+                                min_size=len(tokens), max_size=len(tokens)))
+    spaced = [tok + blank for tok, blank in zip(tokens, blanks)]
+    cut = data.draw(st.integers(0, len(spaced)))
+    _assert_same_as_reference("".join(spaced[:cut]))
+    _assert_same_as_reference("".join(spaced))
 
 
 @settings(max_examples=60, deadline=None)

@@ -221,6 +221,40 @@ def _search_refutes(f, frames) -> bool:
     return False
 
 
+def _edge_key(rows):
+    n = len(rows)
+    return sum(1 << (i * n + j) for i in range(n) for j in range(n) if rows[i] >> j & 1)
+
+
+def _cones_directed(rows):
+    """Every two worlds of a cone see a common world (one step suffices on
+    a reflexive transitive frame)."""
+    n = len(rows)
+    return all(rows[i] & rows[j]
+               for w in range(n) for i in range(n) for j in range(n)
+               if rows[w] >> i & 1 and rows[w] >> j & 1)
+
+
+class TestSearchFrames:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_small_frames_equal_brute_force(self, n):
+        want = sorted(((fr.up_masks, fr.props.up_directed) for fr in _all_rt_frames(n)),
+                      key=lambda item: _edge_key(item[0]))
+        assert list(theories._rt_frames(n)) == want
+
+    def test_five_worlds_are_every_preorder_once(self):
+        frames = theories._rt_frames(5)
+        # 6,942 is the number of labelled preorders on 5 points.
+        assert len({rows for rows, _ in frames}) == len(frames) == 6942
+        keys = [_edge_key(rows) for rows, _ in frames]
+        assert keys == sorted(keys)
+        for rows, directed in frames:
+            assert all(row >> w & 1 for w, row in enumerate(rows))
+            assert all(rows[w] & ~row == 0
+                       for row in rows for w in range(5) if row >> w & 1)
+            assert directed == _cones_directed(rows)
+
+
 class TestTheoryOrdering:
     def test_sandwich_on_slice(self):
         for f in itertools.islice(enumerate_formulas(2, 6, {UP}), 0, 3000, 7):
