@@ -24,8 +24,12 @@ bytes pass a fixed cap (_POOL_BYTES).
 Otherwise membership is resolved by certified reasoning: validity over the
 frame's class implies membership, and a model-checked refuting substitution
 disproves it.  On a reflexive frame a PL-invalid formula is refuted by constant
-substitution: each letter becomes ⊤ or ⊥ as in its one-world PL
-countermodel, since box and diamond of a constant are that constant there.
+substitution: each letter becomes ⊤ or ⊥ as in its first failing PL
+assignment, since box and diamond of a constant are that constant there.  The
+PL truth tables (an int with a bit per assignment, box and diamond the
+identity) and the world masks of the constant instances are memoised in the
+model's context like the sweep's values, so a formula of the enumeration costs
+one operation in each.
 Other refutations are built from a certified control family, whose candidate
 masks are computed once per (model, direction) and kept in the model's
 context, or from a small probe set.  Queries that neither route resolves
@@ -38,8 +42,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Iterable, Optional
 
-from .errors import (ALGEBRA_BUDGET, ASSIGNMENT_BUDGET, BadWorldIndex, BudgetExceeded,
-                     _too_deep)
+from .errors import (ALGEBRA_BUDGET, ASSIGNMENT_BUDGET, SEARCH_BUDGET, BadWorldIndex,
+                     BudgetExceeded, _too_deep)
 from .formula import (
     DOWN,
     UP,
@@ -55,7 +59,6 @@ from .formula import (
     Not,
     Or,
     Top,
-    _orient_to,
     directions,
     enumerate_formulas,
     letters as formula_letters,
@@ -63,6 +66,7 @@ from .formula import (
     substitute,
 )
 from .frame import Frame, PointedModel, WorldSet
+from .theories import S4, S4_2, S5, _index_column, decide, is_valid
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +338,10 @@ class _DirInfo:
         self.directed = props.up_directed if dir is UP else props.down_directed
         cone = frame.cone_mask(m.point, dir)
         self.cone = cone
+        # A one-world cone is a reflexive point or a dead end, which sees
+        # nothing.
         self.cone_single = cone == (1 << m.point)
+        self.dead_end = not frame.masks(dir)[m.point]
         self.cone_cluster = all(
             frame.masks(dir)[w] & cone == cone for w in WorldSet(frame.n, cone))
 
@@ -359,11 +366,11 @@ class _DirInfo:
 _ML_CACHE_LIMIT = 1 << 16
 
 # Bytes a model's value tables may hold: the exact sweep's values with their
-# formula and modal memos, and the closed formulas' world masks.  Past it
-# they are all emptied together after the walk.  On a 512-set algebra of 9
-# cells a k=1 value takes 576 bytes, and a k=1, size <= 6 fragment is
-# charged 0.8 MB in all (2.4 MB for both directions); a k=2 value takes
-# 288 KB.
+# formula and modal memos, the PL truth tables and the constant instances'
+# world masks.  Past it they are all emptied together after the walk.  On a
+# 512-set algebra of 9 cells a k=1 value takes 576 bytes, and a k=1,
+# size <= 6 fragment is charged 0.8 MB in all (2.4 MB for both directions); a
+# k=2 value takes 288 KB.
 _POOL_BYTES = 1 << 24
 
 # Bytes charged for one memo or modal-memo entry besides its value: its
@@ -440,28 +447,64 @@ class _Pool:
         return out
 
 
+def _keep(dir: Direction, x: int) -> int:
+    """Box and diamond of the PL collapse: the identity."""
+    return x
+
+
+class _PlTable:
+    """Truth tables of formulas over one letter list, memoised: a value is an
+    int with a bit per assignment, and assignment a gives letter i bit i of
+    a, as theories._pl_verdict numbers them, so the first failing assignment
+    is the lowest clear bit.  Box and diamond are the identity, the PL
+    collapse, or at a dead end ⊤ and ⊥."""
+
+    def __init__(self, ctx: "_MlContext", letters: tuple[str, ...], dead_end: bool):
+        rows = 1 << len(letters)
+        # The check precedes every column, as theories' truth table counts
+        # its assignments against the same budget.
+        if rows > SEARCH_BUDGET:
+            raise BudgetExceeded(f"PL truth table exceeds {SEARCH_BUDGET} assignments")
+        self.full = full = (1 << rows) - 1
+        self.atoms = {l: _index_column(i, rows) for i, l in enumerate(letters)}
+        if dead_end:
+            self.box, self.dia = (lambda dir, x: full), (lambda dir, x: 0)
+        else:
+            self.box = self.dia = _keep
+        self.memo: dict[Formula, int] = {}
+        self.entry = _ENTRY_BYTES + rows // 8
+        ctx.held += (len(letters) + 1) * self.entry
+
+
 class _MlContext:
     """Per-model cache: the definable algebra when affordable, the
     per-direction certified reasoning machinery otherwise, and the masks of
     control formulas per direction (controls._ControlMasks).
 
     Its value tables persist across queries, so a formula of the canonical
-    enumeration reuses the values of its subformulas, swept just before it:
-    one sweep pool per letter list, built on the first sweep within the
-    assignment budget, and a memo of closed formulas' world masks, which do
-    not depend on the valuation.  held estimates their bytes; past
-    _POOL_BYTES the memos are emptied together, once the walk that passed it
-    ends, so a walk never loses the memo of its own subformulas.  The pools
-    keep their letter values, and go too only when those alone pass it."""
+    enumeration reuses the values of its subformulas, computed just before
+    it: one sweep pool per letter list, built on the first sweep within the
+    assignment budget; one PL truth-table memo per letter list (and per
+    collapse, the identity or a dead end's); and one memo of world masks per
+    set of letters sent to ⊤, the others to ⊥.  The memo of the empty set,
+    closed, serves formulas without letters.  held estimates their bytes;
+    past _POOL_BYTES the memos are emptied together, once the walk that
+    passed it ends, so a walk never loses the memo of its own subformulas.
+    The pools keep their letter values, and go too only when those alone
+    pass it."""
 
     def __init__(self, m: PointedModel):
         self.model = m
         self._dirs: dict[Direction, _DirInfo] = {}
         self.pools: dict[tuple[str, ...], _Pool] = {}
+        self.pl_tables: dict[tuple[tuple[str, ...], bool], _PlTable] = {}
         self.closed: dict[Formula, int] = {}
+        # Per set of letters sent to ⊤: their values, and the memo.
+        self.constants: dict[tuple[str, ...], tuple[dict, dict]] = {(): ({}, self.closed)}
         self.held = 0
         frame = m.frame
         self._full = (1 << frame.n) - 1
+        self._entry = _ENTRY_BYTES + frame.n // 8    # a world mask's charge
         self._box = partial(_box_mask, frame)
         self._dia = partial(_dia_mask, frame)
         self.ml_cache: dict[Formula, MlOutcome] = {}
@@ -479,14 +522,35 @@ class _MlContext:
             self._dirs[dir] = _DirInfo(self, dir)
         return self._dirs[dir]
 
-    def closed_mask(self, f: Formula) -> int:
-        """World mask of a formula without letters, through the closed memo."""
-        frame = self.model.frame
-        before = len(self.closed)
+    def pl_failing(self, f: Formula, letters: tuple[str, ...],
+                   dead_end: bool = False) -> int:
+        """The assignments to letters that falsify f, as the clear bits of
+        its truth table through their memo.  Raises BudgetExceeded past
+        SEARCH_BUDGET assignments."""
+        key = (letters, dead_end)
+        table = self.pl_tables.get(key)
+        if table is None:
+            table = self.pl_tables[key] = _PlTable(self, letters, dead_end)
+        memo = table.memo
+        before = len(memo)
         try:
-            return _evaluate(f, {}, self._full, self._box, self._dia, self.closed)
+            value = _evaluate(f, table.atoms, table.full, table.box, table.dia, memo)
         finally:
-            self.spend((len(self.closed) - before) * (_ENTRY_BYTES + frame.n // 8))
+            self.spend((len(memo) - before) * table.entry)
+        return value ^ table.full
+
+    def constant_mask(self, f: Formula, top: tuple[str, ...] = ()) -> int:
+        """World mask of f with the letters in top sent to ⊤ and the others
+        to ⊥, through that set's memo; closed formulas take top = ()."""
+        hit = self.constants.get(top)
+        if hit is None:
+            hit = self.constants[top] = (dict.fromkeys(top, self._full), {})
+        atoms, memo = hit
+        before = len(memo)
+        try:
+            return _evaluate(f, atoms, self._full, self._box, self._dia, memo)
+        finally:
+            self.spend((len(memo) - before) * self._entry)
 
     def spend(self, nbytes: int) -> None:
         """Charge nbytes to the value tables; past _POOL_BYTES empty them.
@@ -494,6 +558,8 @@ class _MlContext:
         self.held += nbytes
         if self.held > _POOL_BYTES:
             self.closed.clear()
+            self.constants = {(): ({}, self.closed)}
+            self.pl_tables.clear()
             self.held = 0
             for pool in self.pools.values():
                 pool.memo.clear()
@@ -512,19 +578,18 @@ def _ml_context(m: PointedModel) -> _MlContext:
     return ctx
 
 
-def _sweep(ctx: _MlContext, f: Formula, letters: list[str]) -> MlOutcome:
+def _sweep(ctx: _MlContext, f: Formula, letters: tuple[str, ...]) -> MlOutcome:
     """Exact membership on the quotient by the algebra's cells: every letter
     ranges over the algebra's members as cell masks, all at once."""
     algebra = ctx.algebra
     a, k = len(algebra), len(letters)
-    key = tuple(letters)
-    pool = ctx.pools.get(key)
+    pool = ctx.pools.get(letters)
     if pool is None:
         # The check precedes the pool, so a pool's letter list is affordable.
         if a ** k > ASSIGNMENT_BUDGET:
             raise BudgetExceeded(
                 f"{a}^{k} assignments exceeds budget {ASSIGNMENT_BUDGET}")
-        pool = ctx.pools[key] = _Pool(ctx, key)
+        pool = ctx.pools[letters] = _Pool(ctx, letters)
     memo = pool.memo
     before = len(memo)
     try:
@@ -567,9 +632,9 @@ def ml_status(m: PointedModel, f: Formula) -> MlOutcome:
 
 def _ml_status_uncached(ctx: _MlContext, f: Formula) -> MlOutcome:
     m = ctx.model
-    letters = sorted(formula_letters(f))
-    if not letters:
-        return MlOutcome(ctx.closed_mask(f) >> m.point & 1 == 1, how="closed formula")
+    if not formula_letters(f):
+        return MlOutcome(ctx.constant_mask(f) >> m.point & 1 == 1, how="closed formula")
+    letters = tuple(sorted(formula_letters(f)))
     if ctx.algebra is not None:
         try:
             return _sweep(ctx, f, letters)
@@ -587,12 +652,12 @@ def _ml_status_uncached(ctx: _MlContext, f: Formula) -> MlOutcome:
     dirs = directions(f)
     if len(dirs) <= 1:
         d = next(iter(dirs)) if dirs else UP
-        out = _ml_monomodal(ctx, f, d)
+        out = _ml_monomodal(ctx, f, letters, d)
         if out.status is not None:
             return out
     elif m.frame.props.reflexive:
         # Reflexive up is reflexive down: the PL collapse of f decides.
-        out = _constant_refute(m, f)
+        out = _constant_refute(ctx, f, letters)
         if out is not None:
             return out
     # Last resort: small probe substitutions in every direction.
@@ -606,23 +671,20 @@ def _positive_only(g: Formula, p: str) -> bool:
     return polarity(g, p) == 1 or p not in formula_letters(g)
 
 
-def _ml_monomodal(ctx: _MlContext, f: Formula, d: Direction) -> MlOutcome:
-    from .theories import PL, S4, S4_2, S5, decide, is_valid
-
+def _ml_monomodal(ctx: _MlContext, f: Formula, letters: tuple[str, ...],
+                  d: Direction) -> MlOutcome:
     info = ctx.dir_info(d)
     # Truth of a d-monomodal formula at the point only involves the point's
     # d-cone, so validity over the cone's frame class settles membership.
     if info.cone_single:
-        # One reflexive world: both point-bit values of every letter are
-        # realised by algebra members (full and empty), so membership is
-        # exactly PL validity.
-        return MlOutcome(is_valid(PL, f), how="single-world cone")
+        # One world: both point-bit values of every letter are realised by
+        # algebra members (full and empty), and f's value at the point is its
+        # PL collapse, with [d] and <d> the identity on a reflexive point and
+        # ⊤ and ⊥ on a dead end; so membership is exactly its validity.
+        return MlOutcome(not ctx.pl_failing(f, letters, info.dead_end),
+                         how="single-world cone")
     if ctx.model.frame.props.reflexive:
-        # PL is asked with the theories the validity routes below need.
-        needed = (((S5,) if info.cone_cluster else ())
-                  + ((S4_2,) if info.rt and info.directed else ())
-                  + ((S4,) if info.rt else ()))
-        out = _constant_refute(ctx.model, f, needed)
+        out = _constant_refute(ctx, f, letters)
         if out is not None:
             return out
     if info.cone_cluster and is_valid(S5, f):
@@ -651,30 +713,30 @@ def _ml_monomodal(ctx: _MlContext, f: Formula, d: Direction) -> MlOutcome:
     return MlOutcome(None, how="unresolved")
 
 
-def _constant_refute(m: PointedModel, f: Formula,
-                     also: tuple = ()) -> Optional[MlOutcome]:
+def _constant_refute(ctx: _MlContext, f: Formula,
+                     letters: tuple[str, ...]) -> Optional[MlOutcome]:
     """Refute a PL-invalid f on a reflexive frame by constant substitution.
 
     There box and diamond of ⊤ are ⊤ and of ⊥ are ⊥, so a formula built
     from ⊤ and ⊥ takes its PL value at every world, and f fails at the point
-    once each letter is replaced by its value in f's one-world PL
-    countermodel (Hamkins–Löwe 2008), which the theories compute for f's UP
-    twin; the theories in `also` are settled in the same pass.  One model
-    check with full and empty sets verifies the witness."""
-    from .theories import pl_countermodel
-
-    cm = pl_countermodel(_orient_to(f, UP), *also)
-    if cm is None:
+    once each letter is replaced by its value in f's first failing PL
+    assignment, the canonical one-world countermodel (Hamkins–Löwe 2008).
+    Both questions go through the context's memos: the truth table over
+    letters, and the world masks with that assignment's true letters sent to
+    ⊤, which verify the witness at the point."""
+    miss = ctx.pl_failing(f, letters)
+    if not miss:
         return None
-    full = (1 << m.frame.n) - 1
-    env = {l: full if v else 0 for l, v in cm.valuation.items()}
-    if (eval_mask(m, f, env=env) >> m.point) & 1:
+    a = (miss & -miss).bit_length() - 1
+    top = tuple(l for i, l in enumerate(letters) if a >> i & 1)
+    if ctx.constant_mask(f, top) >> ctx.model.point & 1:
         return None
-    sigma = {l: Top() if v else Bot() for l, v in cm.valuation.items()}
+    sigma = {l: Top() if a >> i & 1 else Bot() for i, l in enumerate(letters)}
     return MlOutcome(False, witness=sigma, how="constant substitution")
 
 
-def _probe_refute(ctx: _MlContext, f: Formula, letters: list[str]) -> Optional[MlOutcome]:
+def _probe_refute(ctx: _MlContext, f: Formula,
+                  letters: tuple[str, ...]) -> Optional[MlOutcome]:
     m = ctx.model
     probes: list[Formula] = []
     for l in m.letters()[:4]:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import BudgetExceeded, MixedDirections, SEARCH_BUDGET, _too_deep
 from .formula import (
@@ -61,7 +61,9 @@ from .formula import (
     letters as formula_letters,
 )
 from .frame import Frame, PointedModel, cluster, single_point
-from .semantics import FragmentReport
+
+if TYPE_CHECKING:
+    from .semantics import FragmentReport
 
 
 class Theory(Enum):
@@ -834,29 +836,6 @@ def is_valid(t: Theory, f: Formula) -> bool:
     """Validity without a countermodel.  No cache of its own: the verdict
     store behind decide answers repeats."""
     return decide(t, f, want_countermodel=False).is_valid
-
-
-def pl_countermodel(g: Formula, *also: Theory) -> Optional[PointedModel]:
-    """The canonical one-world PL countermodel of the UP-oriented g, or None
-    when g is PL-valid.  The theories in `also` are settled in the same pass
-    (PL runs first, and a PL refutation settles them all), so the validity
-    questions that follow are answered from the store."""
-    global _hits, _misses
-    rec = _store.get(g, 0)
-    want = _KNOWN[PL]
-    for t in also:
-        want |= _KNOWN[t]
-    if not want & ~rec:
-        if rec & _HOLDS[PL]:
-            _hits += 1
-            return None
-        hit = _store.get((g, PL, SEARCH_BUDGET))
-        if hit is not None:
-            _hits += 1
-            return hit.countermodel
-    _misses += 1
-    _, cm = _settle(g, rec, want, PL)
-    return None if cm is None else cm.countermodel
 
 
 @dataclass

@@ -614,6 +614,115 @@ class TestConstantSubstitution:
         assert out.status is True
 
 
+def reference_constant_refute(ctx, f, letters):
+    """The constant-substitution route as the deciders answer it: the
+    canonical PL countermodel of f's UP twin from decide, then one eval_mask
+    of f with its letters sent to full and empty sets."""
+    from bikripke.formula import _orient_to
+    from bikripke.theories import PL, decide
+    v = decide(PL, _orient_to(f, UP))
+    if v.is_valid:
+        return None
+    m = ctx.model
+    full = (1 << m.frame.n) - 1
+    valuation = v.countermodel.valuation
+    env = {l: full if x else 0 for l, x in valuation.items()}
+    if (eval_mask(m, f, env=env) >> m.point) & 1:
+        return None
+    return semantics.MlOutcome(False, witness={l: Top() if x else Bot()
+                                               for l, x in valuation.items()},
+                               how="constant substitution")
+
+
+class TestPlTables:
+    """Constant substitution and single-world cones read the per-model PL
+    truth tables and constant-instance masks, and answer as the deciders'
+    canonical PL countermodels and validity verdicts do."""
+
+    JOBS = [(name, k, size, dirs) for name in ("thm4_model", "thm5_model")
+            for k, size in ((1, 6), (2, 4)) for dirs in ((UP,), (DOWN,))]
+    JOBS += [(name, 1, 4, (UP, DOWN)) for name in ("thm4_model", "thm5_model")]
+
+    @staticmethod
+    def outcomes(name, k, size, dirs):
+        from bikripke import cli
+        m = getattr(cli, name)()
+        frag = ml_fragment(m, k, size, dirs)
+        return [(f, ml_status(m, f).status, ml_status(m, f).how, ml_status(m, f).witness)
+                for f in frag.formulas]
+
+    @pytest.mark.parametrize("name, k, size, dirs", JOBS)
+    def test_same_answers_as_decider_route(self, monkeypatch, name, k, size, dirs):
+        from bikripke.theories import PL, is_valid
+        new = self.outcomes(name, k, size, dirs)
+        hows = {how for _, _, how, _ in new}
+        assert "constant substitution" in hows or "single-world cone" in hows
+        for f, status, how, _ in new:
+            if how == "single-world cone":
+                assert status == is_valid(PL, f), f
+        monkeypatch.setattr(semantics, "_POOL_BYTES", 1)
+        assert self.outcomes(name, k, size, dirs) == new
+        monkeypatch.undo()
+        monkeypatch.setattr(semantics, "_constant_refute", reference_constant_refute)
+        assert self.outcomes(name, k, size, dirs) == new
+
+    def test_budget_checked_before_any_table(self):
+        import tracemalloc
+        from bikripke.cli import thm5_model
+        m = thm5_model()
+        f = parse(" & ".join(f"p{i}" for i in range(19)) + " -> p0")
+        ctx = semantics._ml_context(m)
+        assert ctx.algebra is None and m.frame.props.reflexive
+        ctx.dir_info(UP)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as err:
+                ml_status(m, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "PL truth table exceeds 500000 assignments"
+        # One value of the table takes 2^19 bits, 64 KB.
+        assert peak < (1 << 19) // 8
+        assert not ctx.pl_tables
+
+
+def dead_end_chain(n: int) -> PointedModel:
+    """The irreflexive chain i -> i+1 pointed at its last world, which sees
+    nothing."""
+    rows = tuple(1 << (i + 1) if i + 1 < n else 0 for i in range(n))
+    return PointedModel(Frame(n, rows), {}, n - 1)
+
+
+class TestSingleWorldCone:
+    def test_dead_end_of_long_chain(self):
+        m = dead_end_chain(70)
+        assert semantics._ml_context(m).algebra is None
+        # p0 := empty refutes the first; the second holds under every
+        # substitution, as <u> is false at a dead end.
+        assert ml_status(m, parse("[u]p0 -> p0")).status is False
+        assert ml_status(m, parse("<u>true -> p0")).status is True
+        assert ml_status(m, parse("[u]false & ~<u>p0")).status is True
+        assert ml_status(m, parse("[d]p0 -> p0")).status is not True
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from([(UP,), (DOWN,), (UP, DOWN)]))
+    @example(252, (UP,))     # a point that sees nothing, in both directions
+    @example(252, (DOWN,))
+    def test_certified_routes_agree_with_sweep_on_any_frame(self, seed, dirs):
+        r = random.Random(seed)
+        m = random_model(r, max_n=4, letters=2)
+        exact = PointedModel(m.frame, m.valuation, m.point)
+        semantics._ml_context(m).algebra = None   # certified routes only
+        for _ in range(8):
+            f = random_formula(r, 7, letters=2, dirs=dirs)
+            out = ml_status(m, f)
+            if out.status is not None:
+                want = ml_status(exact, f)
+                assert want.how in ("exact sweep", "closed formula")
+                assert out.status == want.status, (f, out.how)
+
+
 def _deep_formula(depth: int):
     from bikripke.formula import Atom, Not
     f = Atom("p0")

@@ -427,20 +427,6 @@ class TestVerdictStore:
         assert after["hits"] == before["hits"] + 1
         assert after["size"] == 1
 
-    def test_pl_countermodel_settles_asked_theories_in_one_pass(self, empty_store):
-        for f in enumerate_formulas(1, 5, {UP}):
-            before = verdict_store_stats()
-            cm = theories.pl_countermodel(f, S4_2, S4)
-            assert verdict_store_stats()["misses"] == before["misses"] + 1
-            v = decide(PL, f)
-            assert (cm is None) == v.is_valid
-            if cm is not None:
-                assert dumps(cm) == dumps(v.countermodel)
-            before = verdict_store_stats()
-            for t in (S4_2, S4):
-                assert is_valid(t, f) == _fresh_valid(t, f), (t, f)
-            assert verdict_store_stats()["misses"] == before["misses"]
-
 
 def reference_countermodel(t, f):
     """The canonical first countermodel of the UP-oriented f, found by plain
