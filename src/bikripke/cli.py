@@ -23,6 +23,7 @@ from .errors import (
     FrameParseError,
     MixedDirections,
     SEARCH_BUDGET,
+    WORLD_BUDGET,
 )
 from .formula import (
     DOWN,
@@ -53,8 +54,7 @@ from .semantics import eval_mask, holds_at, ml_fragment
 from .theories import PL, S4, S4_2, S5, Theory, classify, decide, is_valid
 from .controls import (
     ControlFamily,
-    IndependenceCertificate,
-    check_independent,
+    _find_certificate,
     find_family,
     is_button,
     is_pushed,
@@ -97,6 +97,16 @@ class _UsageError(Exception):
     pass
 
 
+def _at_least(low: int):
+    """argparse type of an integer option that is at least low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="bikripke",
                  description="Bimodal Kripke logic with converse modalities.")
@@ -110,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="decide validity over a modal theory")
     p.add_argument("--theory", choices=sorted(_THEORIES), required=True)
-    p.add_argument("--budget", type=int, default=SEARCH_BUDGET,
+    p.add_argument("--budget", type=_at_least(0), default=SEARCH_BUDGET,
                    help=f"search budget in evaluated models (default {SEARCH_BUDGET}) "
                         "of the S4/S4.2 countermodel search over frames of up to 5 "
                         "worlds (the default decides every two-letter formula of "
@@ -126,32 +136,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ml", help="substitution-closed fragment of a model")
     p.add_argument("--frame", required=True)
     p.add_argument("--direction", choices=["up", "down", "both"], required=True)
-    p.add_argument("--letters", type=int, default=1)
-    p.add_argument("--size", type=int, default=5)
+    p.add_argument("--letters", type=_at_least(1), default=1)
+    p.add_argument("--size", type=_at_least(1), default=5)
     p.add_argument("--out")
 
     p = sub.add_parser("controls", help="search for an independent control family")
     p.add_argument("--frame", required=True)
     p.add_argument("--direction", choices=["up", "down"], required=True)
-    p.add_argument("--buttons", type=int, required=True)
-    p.add_argument("--switches", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=None,
+    p.add_argument("--buttons", type=_at_least(0), required=True)
+    p.add_argument("--switches", type=_at_least(0), required=True)
+    p.add_argument("--horizon", type=_at_least(0), default=None,
                    help="cover-step horizon for the independence table "
                         "(default: strict, the whole reachable cone)")
 
     p = sub.add_parser("gen", help="generate a frame or pointed model file")
     p.add_argument("--kind", choices=["point", "cluster", "chain", "bs",
                                       "powerset", "combo"], required=True)
-    p.add_argument("--size", type=int, default=2, help="cluster size")
-    p.add_argument("--height", type=int, default=2, help="chain height")
-    p.add_argument("--buttons", type=int, default=1)
-    p.add_argument("--switches", type=int, default=1)
+    p.add_argument("--size", type=_at_least(1), default=2, help="cluster size")
+    p.add_argument("--height", type=_at_least(1), default=2, help="chain height")
+    p.add_argument("--buttons", type=_at_least(0), default=1)
+    p.add_argument("--switches", type=_at_least(0), default=1)
     p.add_argument("--classes", default="",
                    help="powerset switch classes as comma/colon list, e.g. 3:3")
     p.add_argument("--point", default=None,
                    help="powerset point: 'full', 'empty' or comma list of indices")
     p.add_argument("--variant", choices=["below", "above"], default="below")
-    p.add_argument("--cluster", type=int, default=2, help="combo cluster size")
+    p.add_argument("--cluster", type=_at_least(1), default=2, help="combo cluster size")
     p.add_argument("-o", "--out", required=True)
 
     p = sub.add_parser("experiment", help="run a named experiment suite")
@@ -465,23 +475,32 @@ def _cmd_controls(args) -> int:
     if isinstance(model, Frame):
         raise _UsageError(f"{args.frame} has no designated point")
     d = _DIRS[args.direction]
-    fam = find_family(model, model.point, d, args.buttons, args.switches,
-                      horizon=args.horizon)
-    if fam is None:
+    cert = _find_certificate(model, model.point, d, args.buttons, args.switches,
+                             horizon=args.horizon)
+    if cert is None:
         sys.stdout.write("none\n")
         return 0
-    cert = check_independent(model, fam, horizon=args.horizon)
+    fam = cert.family
     rep = Report()
     rep.add("direction", args.direction)
     rep.add("buttons", ";".join(print_formula(b) for b in fam.buttons) or "-")
     rep.add("switches", ";".join(print_formula(s) for s in fam.switches) or "-")
-    if isinstance(cert, IndependenceCertificate):
-        rep.add("certificate", "ok")
-        rep.add("certificate.worlds", len(cert.table))
-        rep.add("certificate.horizon",
-                "strict" if cert.horizon is None else cert.horizon)
+    rep.add("certificate", "ok")
+    rep.add("certificate.worlds", len(cert.table))
+    rep.add("certificate.horizon", "strict" if cert.horizon is None else cert.horizon)
     rep.emit(None)
     return 0
+
+
+def _int_list(option: str, spec: str) -> list[int]:
+    """The integers >= 0 of a comma, colon or blank separated list."""
+    tokens = spec.replace(":", " ").replace(",", " ").split()
+    try:
+        if all(tok.isdecimal() for tok in tokens):
+            return [int(tok) for tok in tokens]
+    except ValueError:      # more digits than int() converts
+        pass
+    raise _UsageError(f"{option} wants integers >= 0, got {spec!r}")
 
 
 def _parse_point(spec: Optional[str], universe: list[int]) -> list[int]:
@@ -489,7 +508,7 @@ def _parse_point(spec: Optional[str], universe: list[int]) -> list[int]:
         return list(universe)
     if spec == "empty":
         return []
-    return [int(tok) for tok in spec.replace(",", " ").split()]
+    return _int_list("--point", spec)
 
 
 def _cmd_gen(args) -> int:
@@ -503,7 +522,12 @@ def _cmd_gen(args) -> int:
     elif kind == "bs":
         obj = bs_model(args.buttons, args.switches)
     elif kind == "powerset":
-        sizes = [int(tok) for tok in args.classes.replace(":", ",").split(",") if tok]
+        sizes = _int_list("--classes", args.classes)
+        # Each index doubles the worlds: check the budget before the index
+        # lists are built.
+        k = args.buttons + sum(sizes)
+        if k > WORLD_BUDGET.bit_length() - 1:
+            raise BudgetExceeded(f"2^{k} worlds exceeds budget {WORLD_BUDGET}")
         buttons = list(range(args.buttons))
         classes = []
         nxt = args.buttons

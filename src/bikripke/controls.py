@@ -278,6 +278,15 @@ def find_family(m: PointedModel, w: int, dir: Direction,
                 compound_size: int = 3) -> Optional[ControlFamily]:
     """First certified-independent family of the requested shape, searching
     valuation letters first and then small compounds in canonical order."""
+    cert = _find_certificate(m, w, dir, m_count, n_count, horizon, compound_size)
+    return cert.family if cert is not None else None
+
+
+def _find_certificate(m: PointedModel, w: int, dir: Direction,
+                      m_count: int, n_count: int,
+                      horizon: Optional[int] = None,
+                      compound_size: int = 3) -> Optional[IndependenceCertificate]:
+    """find_family's search, returning the certificate of the family found."""
     base = PointedModel(m.frame, m.valuation, w) if w != m.point else m
     masks = _control_masks(base, dir)
     _, scope_mask = masks.scope(w, horizon)
@@ -303,7 +312,7 @@ def find_family(m: PointedModel, w: int, dir: Direction,
             fam = ControlFamily(dir, tuple(bs), tuple(ss), base, horizon)
             cert = check_independent(base, fam, horizon)
             if isinstance(cert, IndependenceCertificate):
-                return fam
+                return cert
     return None
 
 

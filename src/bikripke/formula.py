@@ -112,13 +112,18 @@ def _new(cls, key, h: int, letters: frozenset, dirs: int, depth: int):
 _IDENT = re.compile(r"[a-z][a-z0-9]*")
 
 
+def _is_letter(name: str) -> bool:
+    """Is name a letter identifier, not a constant's keyword?"""
+    return _IDENT.fullmatch(name) is not None and name not in ("true", "false")
+
+
 class Atom(Formula):
     __slots__ = ("name",)
 
     def __new__(cls, name: str):
         f = _live(name) if type(name) is str else None
         if f is None:
-            if not _IDENT.fullmatch(name) or name in ("true", "false"):
+            if not _is_letter(name):
                 raise ValueError(f"bad letter identifier: {name!r}")
             f = _new(cls, name, hash(("Atom", name)), frozenset((name,)), 0, 0)
             f.name = name

@@ -18,7 +18,7 @@ from .errors import (
     OverlappingIndexSets,
     WORLD_BUDGET,
 )
-from .formula import Direction, UP
+from .formula import Direction, UP, _is_letter
 
 
 class WorldSet:
@@ -614,6 +614,8 @@ def loads(text: str) -> Union[Frame, PointedModel]:
                 if n is None:
                     raise FrameParseError("'val' before 'worlds'", lineno)
                 letter = parts[1]
+                if not _is_letter(letter):
+                    raise FrameParseError(f"bad letter identifier {letter!r}", lineno)
                 mask = 0
                 for tok in parts[2:]:
                     w = int(tok)

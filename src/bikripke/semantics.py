@@ -13,27 +13,26 @@ letters of f over the definable algebra.  When the algebra fits the budget
 the quantification is swept exactly on the quotient by those classes, for
 all assignments at once: a value is one Python int with a slice of one bit
 per assignment for each class, so the Boolean connectives are single int
-operations.  The sweep's values persist in the model's context, one pool
-per letter list: a memo keeps the values of the subformulas swept so far, so
-a formula of the canonical enumeration, whose children were swept just
-before it, costs one operation, and modal results are memoised on their
-argument.  Closed formulas, whose value does not depend on the valuation,
-share a memo of world masks.  All of these are emptied together when their
-bytes pass a fixed cap (_POOL_BYTES).
+operations.
 
 Otherwise membership is resolved by certified reasoning: validity over the
 frame's class implies membership, and a model-checked refuting substitution
 disproves it.  On a reflexive frame a PL-invalid formula is refuted by constant
 substitution: each letter becomes ⊤ or ⊥ as in its first failing PL
-assignment, since box and diamond of a constant are that constant there.  The
-PL truth tables (an int with a bit per assignment, box and diamond the
-identity) and the world masks of the constant instances are memoised in the
-model's context like the sweep's values, so a formula of the enumeration costs
-one operation in each.
-Other refutations are built from a certified control family, whose candidate
-masks are computed once per (model, direction) and kept in the model's
-context, or from a small probe set.  Queries that neither route resolves
-raise BudgetExceeded rather than guess.
+assignment, since box and diamond of a constant are that constant there.  On
+a monomodal formula the theory that governs the point's cone is asked once
+for validity, and for a countermodel where a certified control family can
+simulate one; the probe substitutions come last.
+
+Every value the routes compute goes through one kind of table (_Table) kept
+in the model's context: the sweep's values per letter list, the PL truth
+tables, and the world masks of closed formulas and of constant instances.  A
+table memoises the formulas evaluated so far, so a formula of the canonical
+enumeration, whose children were evaluated just before it, costs one
+operation.  All memos are emptied together when their bytes pass a fixed cap
+(_POOL_BYTES).  The control families' candidate masks are computed once per
+(model, direction) and kept in the context too.  Queries that no route
+resolves raise BudgetExceeded rather than guess.
 """
 
 from __future__ import annotations
@@ -43,7 +42,8 @@ from functools import cached_property, partial
 from typing import Iterable, Optional
 
 from .errors import (ALGEBRA_BUDGET, ASSIGNMENT_BUDGET, SEARCH_BUDGET, BadWorldIndex,
-                     BudgetExceeded, _too_deep)
+                     BudgetExceeded, InsufficientControls, VerificationFailed,
+                     _too_deep)
 from .formula import (
     DOWN,
     UP,
@@ -66,7 +66,7 @@ from .formula import (
     substitute,
 )
 from .frame import Frame, PointedModel, WorldSet
-from .theories import S4, S4_2, S5, _index_column, decide, is_valid
+from .theories import S4, S4_2, S5, _index_column, decide
 
 
 # ---------------------------------------------------------------------------
@@ -327,36 +327,53 @@ class MlOutcome:
     how: str = ""
 
 
+# How a membership settled by a theory's validity is reported.
+_VALIDITY_HOW = {S5: "S5 validity on cluster cone",
+                 S4_2: "S4.2 validity on directed frame",
+                 S4: "S4 validity"}
+
+
 class _DirInfo:
+    """The point's cone along one direction.  theory governs it: S5 on a
+    cluster cone, else S4.2 on a directed reflexive transitive frame, S4 on
+    a reflexive transitive one, or None.  It is the strongest theory whose
+    frame class holds the cone, so it alone settles validity there.
+    simulable says its countermodels can be simulated through a control
+    family, on a reflexive transitive frame of S5 or S4.2."""
+
     def __init__(self, ctx: "_MlContext", dir: Direction):
         self.ctx = ctx
         self.dir = dir
         m = ctx.model
         frame = m.frame
         props = frame.props
-        self.rt = props.reflexive and props.transitive
-        self.directed = props.up_directed if dir is UP else props.down_directed
+        rt = props.reflexive and props.transitive
+        directed = props.up_directed if dir is UP else props.down_directed
         cone = frame.cone_mask(m.point, dir)
-        self.cone = cone
         # A one-world cone is a reflexive point or a dead end, which sees
         # nothing.
         self.cone_single = cone == (1 << m.point)
         self.dead_end = not frame.masks(dir)[m.point]
-        self.cone_cluster = all(
-            frame.masks(dir)[w] & cone == cone for w in WorldSet(frame.n, cone))
+        if all(frame.masks(dir)[w] & cone == cone for w in WorldSet(frame.n, cone)):
+            self.theory = S5
+        elif rt:
+            self.theory = S4_2 if directed else S4
+        else:
+            self.theory = None
+        self.simulable = rt and self.theory in (S5, S4_2)
 
     @cached_property
     def family_cert(self):
         """Best certified control family at the point with its certificate,
         searched on first use; None when no shape certifies.  Every search
         of the ladder reads the candidates' masks computed once."""
-        from .controls import check_independent, find_family
+        from .controls import _find_certificate
         m = self.ctx.model
         for shape in ((2, 2), (2, 1), (1, 2), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1)):
             for horizon in (None, 2, 1, 0):
-                fam = find_family(m, m.point, self.dir, *shape, horizon=horizon)
-                if fam is not None:
-                    return check_independent(m, fam, horizon=fam.horizon)
+                cert = _find_certificate(m, m.point, self.dir, *shape, horizon=horizon)
+                if cert is not None:
+                    return cert
         return None
 
 
@@ -367,7 +384,7 @@ _ML_CACHE_LIMIT = 1 << 16
 
 # Bytes a model's value tables may hold: the exact sweep's values with their
 # formula and modal memos, the PL truth tables and the constant instances'
-# world masks.  Past it they are all emptied together after the walk.  On a
+# world masks.  Past it their memos are emptied together after the walk.  On a
 # 512-set algebra of 9 cells a k=1 value takes 576 bytes, and a k=1,
 # size <= 6 fragment is charged 0.8 MB in all (2.4 MB for both directions); a
 # k=2 value takes 288 KB.
@@ -378,9 +395,47 @@ _POOL_BYTES = 1 << 24
 _ENTRY_BYTES = 100
 
 
-class _Pool:
-    """The exact sweep's values for one letter list, and the values of the
-    formulas swept so far.
+class _Table:
+    """Values of formulas on one carrier, memoised across queries: the
+    letters' values, ⊤ (full), box and dia, the memo of the formulas
+    evaluated so far, an optional memo of modal results that box and dia
+    fill, and the bytes charged for an entry of either memo.
+
+    A context's tables, by key:
+    * ("sweep", letters): the exact sweep's values (_sweep_table);
+    * ("pl", letters) and ("dead end", letters): PL truth tables, an int with
+      a bit per assignment, assignment a giving letter i bit i of a as
+      theories._pl_verdict numbers them; box and diamond are the identity,
+      the PL collapse, or ⊤ and ⊥ at a dead end;
+    * ("top", letters): world masks with those letters sent to ⊤ and the
+      others to ⊥; ("top", ()) serves closed formulas."""
+
+    def __init__(self, ctx: "_MlContext", atoms: dict, full: int, box, dia,
+                 entry: int, modal: dict | None = None):
+        self.ctx = ctx
+        self.atoms = atoms
+        self.full = full
+        self.box = box
+        self.dia = dia
+        self.memo: dict[Formula, int] = {}
+        self.modal = modal
+        self.entry = entry
+        # The letters' values and ⊤, kept until the table is dropped.
+        self.base = (len(atoms) + 1) * entry
+        ctx.held += self.base
+
+    def value(self, f: Formula) -> int:
+        """f's value through the memo, charging its new entries."""
+        memo = self.memo
+        before = len(memo)
+        try:
+            return _evaluate(f, self.atoms, self.full, self.box, self.dia, memo)
+        finally:
+            self.ctx.spend((len(memo) - before) * self.entry)
+
+
+def _sweep_table(ctx: "_MlContext", letters: tuple[str, ...]) -> _Table:
+    """The exact sweep's table for one letter list.
 
     A value is one int of q slices, one per cell, each a^k bits wide, the
     point's cell in the lowest: bit i of slice c says that assignment i's
@@ -392,59 +447,52 @@ class _Pool:
     Diamond of a slice is the OR of the slices of its cell's successor cells
     (the cells are two-way bisimulation classes, so every world of a cell has
     the same successor cells); results are memoised on direction and value."""
+    m = ctx.model
+    a, k = len(ctx.algebra), len(letters)
+    cells = sorted(ctx.algebra.cells, key=lambda cell: not cell >> m.point & 1)
+    w = a ** k
+    low = (1 << w) - 1
+    full = (1 << len(cells) * w) - 1
+    members = ctx.algebra.masks()[::-1]
+    atoms = {}
+    for i, letter in enumerate(letters):
+        run = a ** (k - 1 - i)     # assignments in a row giving letter i one member
+        ones, zeros = "1" * run, "0" * run
+        value = 0
+        for cell in reversed(cells):
+            block = int("".join(ones if x & cell else zeros for x in members), 2)
+            span = a * run
+            while span < w:     # a is a power of 2, so doubling fills w
+                block |= block << span
+                span *= 2
+            value = value << w | block
+        atoms[letter] = value
+    succ = {d: [[s for s, other in enumerate(cells)
+                 if m.frame.masks(d)[(cell & -cell).bit_length() - 1] & other]
+                for cell in cells] for d in (UP, DOWN)}
+    modal: dict[tuple[bool, int], int] = {}
+    # Bytes charged per stored value: at most q a^k bits, and its entry.
+    entry = _ENTRY_BYTES + full.bit_length() // 8
 
-    def __init__(self, ctx: "_MlContext", letters: tuple[str, ...]):
-        self.ctx = ctx
-        m = ctx.model
-        a, k = len(ctx.algebra), len(letters)
-        cells = sorted(ctx.algebra.cells, key=lambda cell: not cell >> m.point & 1)
-        self.width = w = a ** k
-        self.low = (1 << w) - 1
-        self.full = (1 << len(cells) * w) - 1
-        members = ctx.algebra.masks()[::-1]
-        self.atoms = {}
-        for i, letter in enumerate(letters):
-            run = a ** (k - 1 - i)     # assignments in a row giving letter i one member
-            ones, zeros = "1" * run, "0" * run
-            value = 0
-            for cell in reversed(cells):
-                block = int("".join(ones if x & cell else zeros for x in members), 2)
-                span = a * run
-                while span < w:     # a is a power of 2, so doubling fills w
-                    block |= block << span
-                    span *= 2
-                value = value << w | block
-            self.atoms[letter] = value
-        self.succ = {d: [[s for s, other in enumerate(cells)
-                          if m.frame.masks(d)[(cell & -cell).bit_length() - 1] & other]
-                         for cell in cells] for d in (UP, DOWN)}
-        self.modal: dict[tuple[bool, int], int] = {}
-        self.memo: dict[Formula, int] = {}
-        # Bytes charged per stored value: at most q a^k bits, and its entry.
-        self.entry = _ENTRY_BYTES + self.full.bit_length() // 8
-        # The letters' values and ⊤, kept until the pool is dropped.
-        self.base = (len(letters) + 1) * self.entry
-        ctx.held += self.base
-
-    def box(self, dir: Direction, x: int) -> int:
-        full = self.full
-        return full ^ self.dia(dir, full ^ x)
-
-    def dia(self, dir: Direction, x: int) -> int:
+    def dia(dir: Direction, x: int) -> int:
         key = (dir is UP, x)    # a bool hashes faster than an Enum
-        out = self.modal.get(key)
+        out = modal.get(key)
         if out is None:
-            w, low, succs = self.width, self.low, self.succ[dir]
-            slices = [x >> s * w & low for s in range(len(succs))]
+            slices = [x >> s * w & low for s in range(len(cells))]
             out = 0
-            for succ in reversed(succs):
+            for succs in reversed(succ[dir]):
                 part = 0
-                for s in succ:
+                for s in succs:
                     part |= slices[s]
                 out = out << w | part
-            self.modal[key] = out
-            self.ctx.held += self.entry
+            modal[key] = out
+            ctx.held += entry
         return out
+
+    def box(dir: Direction, x: int) -> int:
+        return full ^ dia(dir, full ^ x)
+
+    return _Table(ctx, atoms, full, box, dia, entry, modal)
 
 
 def _keep(dir: Direction, x: int) -> int:
@@ -452,61 +500,25 @@ def _keep(dir: Direction, x: int) -> int:
     return x
 
 
-class _PlTable:
-    """Truth tables of formulas over one letter list, memoised: a value is an
-    int with a bit per assignment, and assignment a gives letter i bit i of
-    a, as theories._pl_verdict numbers them, so the first failing assignment
-    is the lowest clear bit.  Box and diamond are the identity, the PL
-    collapse, or at a dead end ⊤ and ⊥."""
-
-    def __init__(self, ctx: "_MlContext", letters: tuple[str, ...], dead_end: bool):
-        rows = 1 << len(letters)
-        # The check precedes every column, as theories' truth table counts
-        # its assignments against the same budget.
-        if rows > SEARCH_BUDGET:
-            raise BudgetExceeded(f"PL truth table exceeds {SEARCH_BUDGET} assignments")
-        self.full = full = (1 << rows) - 1
-        self.atoms = {l: _index_column(i, rows) for i, l in enumerate(letters)}
-        if dead_end:
-            self.box, self.dia = (lambda dir, x: full), (lambda dir, x: 0)
-        else:
-            self.box = self.dia = _keep
-        self.memo: dict[Formula, int] = {}
-        self.entry = _ENTRY_BYTES + rows // 8
-        ctx.held += (len(letters) + 1) * self.entry
-
-
 class _MlContext:
     """Per-model cache: the definable algebra when affordable, the
-    per-direction certified reasoning machinery otherwise, and the masks of
-    control formulas per direction (controls._ControlMasks).
+    per-direction certified reasoning machinery otherwise, the masks of
+    control formulas per direction (controls._ControlMasks), and the value
+    tables.
 
-    Its value tables persist across queries, so a formula of the canonical
+    The tables persist across queries, so a formula of the canonical
     enumeration reuses the values of its subformulas, computed just before
-    it: one sweep pool per letter list, built on the first sweep within the
-    assignment budget; one PL truth-table memo per letter list (and per
-    collapse, the identity or a dead end's); and one memo of world masks per
-    set of letters sent to ⊤, the others to ⊥.  The memo of the empty set,
-    closed, serves formulas without letters.  held estimates their bytes;
-    past _POOL_BYTES the memos are emptied together, once the walk that
+    it; each is built on first use, after its budget check.  held estimates
+    their bytes; past _POOL_BYTES every memo is emptied, once the walk that
     passed it ends, so a walk never loses the memo of its own subformulas.
-    The pools keep their letter values, and go too only when those alone
+    The tables keep their letter values, and go too only when those alone
     pass it."""
 
     def __init__(self, m: PointedModel):
         self.model = m
         self._dirs: dict[Direction, _DirInfo] = {}
-        self.pools: dict[tuple[str, ...], _Pool] = {}
-        self.pl_tables: dict[tuple[tuple[str, ...], bool], _PlTable] = {}
-        self.closed: dict[Formula, int] = {}
-        # Per set of letters sent to ⊤: their values, and the memo.
-        self.constants: dict[tuple[str, ...], tuple[dict, dict]] = {(): ({}, self.closed)}
+        self.tables: dict[tuple[str, tuple[str, ...]], _Table] = {}
         self.held = 0
-        frame = m.frame
-        self._full = (1 << frame.n) - 1
-        self._entry = _ENTRY_BYTES + frame.n // 8    # a world mask's charge
-        self._box = partial(_box_mask, frame)
-        self._dia = partial(_dia_mask, frame)
         self.ml_cache: dict[Formula, MlOutcome] = {}
         self.control_masks: dict[Direction, object] = {}
 
@@ -525,48 +537,52 @@ class _MlContext:
     def pl_failing(self, f: Formula, letters: tuple[str, ...],
                    dead_end: bool = False) -> int:
         """The assignments to letters that falsify f, as the clear bits of
-        its truth table through their memo.  Raises BudgetExceeded past
-        SEARCH_BUDGET assignments."""
-        key = (letters, dead_end)
-        table = self.pl_tables.get(key)
+        its truth table.  Raises BudgetExceeded past SEARCH_BUDGET
+        assignments."""
+        key = ("dead end" if dead_end else "pl", letters)
+        table = self.tables.get(key)
         if table is None:
-            table = self.pl_tables[key] = _PlTable(self, letters, dead_end)
-        memo = table.memo
-        before = len(memo)
-        try:
-            value = _evaluate(f, table.atoms, table.full, table.box, table.dia, memo)
-        finally:
-            self.spend((len(memo) - before) * table.entry)
-        return value ^ table.full
+            rows = 1 << len(letters)
+            # The check precedes every column, as theories' truth table
+            # counts its assignments against the same budget.
+            if rows > SEARCH_BUDGET:
+                raise BudgetExceeded(f"PL truth table exceeds {SEARCH_BUDGET} assignments")
+            full = (1 << rows) - 1
+            atoms = {l: _index_column(i, rows) for i, l in enumerate(letters)}
+            if dead_end:
+                box, dia = (lambda dir, x: full), (lambda dir, x: 0)
+            else:
+                box = dia = _keep
+            table = self.tables[key] = _Table(self, atoms, full, box, dia,
+                                              _ENTRY_BYTES + rows // 8)
+        return table.value(f) ^ table.full
 
     def constant_mask(self, f: Formula, top: tuple[str, ...] = ()) -> int:
         """World mask of f with the letters in top sent to ⊤ and the others
-        to ⊥, through that set's memo; closed formulas take top = ()."""
-        hit = self.constants.get(top)
-        if hit is None:
-            hit = self.constants[top] = (dict.fromkeys(top, self._full), {})
-        atoms, memo = hit
-        before = len(memo)
-        try:
-            return _evaluate(f, atoms, self._full, self._box, self._dia, memo)
-        finally:
-            self.spend((len(memo) - before) * self._entry)
+        to ⊥; closed formulas take top = ()."""
+        key = ("top", top)
+        table = self.tables.get(key)
+        if table is None:
+            frame = self.model.frame
+            full = (1 << frame.n) - 1
+            table = self.tables[key] = _Table(
+                self, dict.fromkeys(top, full), full, partial(_box_mask, frame),
+                partial(_dia_mask, frame), _ENTRY_BYTES + frame.n // 8)
+        return table.value(f)
 
     def spend(self, nbytes: int) -> None:
-        """Charge nbytes to the value tables; past _POOL_BYTES empty them.
-        The pools keep their letter values unless those alone pass it."""
+        """Charge nbytes to the tables; past _POOL_BYTES empty their memos.
+        The tables keep their letter values unless those alone pass it."""
         self.held += nbytes
         if self.held > _POOL_BYTES:
-            self.closed.clear()
-            self.constants = {(): ({}, self.closed)}
-            self.pl_tables.clear()
             self.held = 0
-            for pool in self.pools.values():
-                pool.memo.clear()
-                pool.modal.clear()
-                self.held += pool.base
+            for table in self.tables.values():
+                table.memo.clear()
+                if table.modal is not None:
+                    table.modal.clear()
+                self.held += table.base
             if self.held > _POOL_BYTES:
-                self.pools.clear()
+                self.tables.clear()
                 self.held = 0
 
 
@@ -583,20 +599,16 @@ def _sweep(ctx: _MlContext, f: Formula, letters: tuple[str, ...]) -> MlOutcome:
     ranges over the algebra's members as cell masks, all at once."""
     algebra = ctx.algebra
     a, k = len(algebra), len(letters)
-    pool = ctx.pools.get(letters)
-    if pool is None:
-        # The check precedes the pool, so a pool's letter list is affordable.
+    key = ("sweep", letters)
+    table = ctx.tables.get(key)
+    if table is None:
+        # The check precedes the table, so a table's letter list is affordable.
         if a ** k > ASSIGNMENT_BUDGET:
             raise BudgetExceeded(
                 f"{a}^{k} assignments exceeds budget {ASSIGNMENT_BUDGET}")
-        pool = ctx.pools[letters] = _Pool(ctx, letters)
-    memo = pool.memo
-    before = len(memo)
-    try:
-        value = _evaluate(f, pool.atoms, pool.full, pool.box, pool.dia, memo)
-    finally:
-        ctx.spend((len(memo) - before) * pool.entry)
-    miss = value & pool.low ^ pool.low
+        table = ctx.tables[key] = _sweep_table(ctx, letters)
+    low = (1 << a ** k) - 1
+    miss = table.value(f) & low ^ low
     if not miss:
         return MlOutcome(True, how="exact sweep")
     bad = (miss & -miss).bit_length() - 1
@@ -649,17 +661,35 @@ def _ml_status_uncached(ctx: _MlContext, f: Formula) -> MlOutcome:
         if (eval_mask(m, f.right, env=env) >> m.point) & 1:
             return MlOutcome(True, how="monotone rule")
 
+    # Truth of a d-monomodal formula at the point only involves the point's
+    # d-cone, so validity over the cone's frame class settles membership.
     dirs = directions(f)
-    if len(dirs) <= 1:
-        d = next(iter(dirs)) if dirs else UP
-        out = _ml_monomodal(ctx, f, letters, d)
-        if out.status is not None:
-            return out
-    elif m.frame.props.reflexive:
+    info = ctx.dir_info(next(iter(dirs), UP)) if len(dirs) <= 1 else None
+    if info is not None and info.cone_single:
+        # One world: both point-bit values of every letter are realised by
+        # algebra members (full and empty), and f's value at the point is its
+        # PL collapse, with [d] and <d> the identity on a reflexive point and
+        # ⊤ and ⊥ on a dead end; so membership is exactly its validity.
+        return MlOutcome(not ctx.pl_failing(f, letters, info.dead_end),
+                         how="single-world cone")
+    if m.frame.props.reflexive:
         # Reflexive up is reflexive down: the PL collapse of f decides.
         out = _constant_refute(ctx, f, letters)
         if out is not None:
             return out
+    if info is not None and info.theory is not None:
+        verdict = decide(info.theory, f, want_countermodel=info.simulable)
+        if verdict.is_valid:
+            return MlOutcome(True, how=_VALIDITY_HOW[info.theory])
+        # Refutation: simulate the decider's countermodel through the
+        # certified control family, verifying the substitution by model check.
+        if verdict.countermodel is not None and info.family_cert is not None:
+            from .controls import simulate_countermodel
+            try:
+                sigma = simulate_countermodel(info.family_cert, f, verdict.countermodel)
+                return MlOutcome(False, witness=sigma, how="simulated countermodel")
+            except (InsufficientControls, VerificationFailed):
+                pass
     # Last resort: small probe substitutions in every direction.
     out = _probe_refute(ctx, f, letters)
     if out is not None:
@@ -669,48 +699,6 @@ def _ml_status_uncached(ctx: _MlContext, f: Formula) -> MlOutcome:
 
 def _positive_only(g: Formula, p: str) -> bool:
     return polarity(g, p) == 1 or p not in formula_letters(g)
-
-
-def _ml_monomodal(ctx: _MlContext, f: Formula, letters: tuple[str, ...],
-                  d: Direction) -> MlOutcome:
-    info = ctx.dir_info(d)
-    # Truth of a d-monomodal formula at the point only involves the point's
-    # d-cone, so validity over the cone's frame class settles membership.
-    if info.cone_single:
-        # One world: both point-bit values of every letter are realised by
-        # algebra members (full and empty), and f's value at the point is its
-        # PL collapse, with [d] and <d> the identity on a reflexive point and
-        # ⊤ and ⊥ on a dead end; so membership is exactly its validity.
-        return MlOutcome(not ctx.pl_failing(f, letters, info.dead_end),
-                         how="single-world cone")
-    if ctx.model.frame.props.reflexive:
-        out = _constant_refute(ctx, f, letters)
-        if out is not None:
-            return out
-    if info.cone_cluster and is_valid(S5, f):
-        return MlOutcome(True, how="S5 validity on cluster cone")
-    if info.rt and info.directed and is_valid(S4_2, f):
-        return MlOutcome(True, how="S4.2 validity on directed frame")
-    if info.rt and is_valid(S4, f):
-        return MlOutcome(True, how="S4 validity")
-
-    # Refutation: simulate the decider's countermodel through the certified
-    # control family, verifying the substitution by model check.
-    if info.rt and (info.cone_cluster or info.directed):
-        theory = S5 if info.cone_cluster else S4_2
-        verdict = decide(theory, f)
-        if verdict.is_invalid and verdict.countermodel is not None:
-            cert = info.family_cert
-            if cert is not None:
-                from .controls import simulate_countermodel
-                from .errors import InsufficientControls, VerificationFailed
-                try:
-                    sigma = simulate_countermodel(cert, f, verdict.countermodel)
-                    return MlOutcome(False, witness=sigma,
-                                     how="simulated countermodel")
-                except (InsufficientControls, VerificationFailed):
-                    pass
-    return MlOutcome(None, how="unresolved")
 
 
 def _constant_refute(ctx: _MlContext, f: Formula,

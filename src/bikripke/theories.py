@@ -799,6 +799,27 @@ def _settle(g: Formula, rec: int, want: int,
 # decide / classify
 # ---------------------------------------------------------------------------
 
+def _ask(g: Formula, want: int, cm_theory: Optional[Theory],
+         budget: int) -> tuple[int, Optional[Verdict]]:
+    """The record of the oriented g with the theories in the mask `want`
+    decided, and with cm_theory the countermodel verdict when g is invalid
+    there: read from the store when it holds them (a hit), else settled for
+    what it lacks (a miss)."""
+    global _hits, _misses
+    rec = _store.get(g, 0)
+    want &= ~rec
+    if not want:
+        if cm_theory is None or rec & _HOLDS[cm_theory]:
+            _hits += 1
+            return rec, None
+        hit = _store.get((g, cm_theory, budget))
+        if hit is not None:
+            _hits += 1
+            return rec, hit
+    _misses += 1
+    return _settle(g, rec, want, cm_theory, budget)
+
+
 def decide(t: Theory, f: Formula, budget: int = SEARCH_BUDGET,
            want_countermodel: bool = True) -> Verdict:
     """Sound and complete validity verdict over the theory's finite frame
@@ -807,24 +828,9 @@ def decide(t: Theory, f: Formula, budget: int = SEARCH_BUDGET,
     budget.  The budget also bounds the PL truth table, in assignments, and
     the S5 colour sweep, in colour subsets: past it, deciding PL or S5 raises
     BudgetExceeded, and S4.2 goes without S5's shortcut."""
-    global _hits, _misses
     try:
         g, _ = orient(f)
-        rec = _store.get(g, 0)
-        if rec & _KNOWN[t]:
-            if rec & _HOLDS[t]:
-                _hits += 1
-                return _VALID
-            if not want_countermodel:
-                _hits += 1
-                return _INVALID
-            hit = _store.get((g, t, budget))
-            if hit is not None:
-                _hits += 1
-                return hit
-        _misses += 1
-        rec, cm = _settle(g, rec, _KNOWN[t], t if want_countermodel else None,
-                          budget)
+        rec, cm = _ask(g, _KNOWN[t], t if want_countermodel else None, budget)
     except RecursionError:
         raise _too_deep() from None
     if rec & _HOLDS[t]:
@@ -853,7 +859,6 @@ def classify(report: FragmentReport) -> ClassificationResult:
     """Compare the fragment against each theory: a theory matches when ml
     membership equals the theory verdict on every enumerated formula whose
     membership was resolved; unresolved formulas are excluded and counted."""
-    global _hits, _misses
     separators: dict[Theory, Formula] = {}
     matches = set(Theory)
     excluded = 0
@@ -868,12 +873,7 @@ def classify(report: FragmentReport) -> ClassificationResult:
         if not open_:
             continue
         g, _ = orient(f)
-        rec = _store.get(g, 0)
-        if open_ & ~rec:
-            _misses += 1
-            rec, _ = _settle(g, rec, open_ & ~rec)
-        else:
-            _hits += 1
+        rec, _ = _ask(g, open_, None, SEARCH_BUDGET)
         for t, known, holds in _BITS:
             if open_ & known and bool(rec & holds) != status:
                 separators[t] = f

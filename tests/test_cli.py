@@ -15,6 +15,18 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+_MODEL_TEXT = """frame f
+worlds 3
+up 0 1
+up 1 2
+closure reflexive transitive
+point 0
+val p0 1 2
+val p1 0
+end
+"""
+
+
 class TestParseCommand:
     def test_roundtrip(self, capsys):
         code, out, _ = run(capsys, "parse", "<u>[u]p->[u]<u>p")
@@ -93,6 +105,42 @@ class TestExitCodes:
         assert code == 4
         assert out == "" and "budget" in err
 
+    @pytest.mark.parametrize("argv, frame", [
+        (["gen", "--kind", "powerset", "--classes", "a"], None),
+        (["gen", "--kind", "powerset", "--point", "1,x"], None),
+        (["gen", "--kind", "bs", "--buttons", "-1"], None),
+        (["gen", "--kind", "combo", "--buttons", "-1"], None),
+        (["gen", "--kind", "combo", "--cluster", "0"], None),
+        (["ml", "--direction", "up", "--letters", "0"], _MODEL_TEXT),
+        (["controls", "--direction", "up", "--buttons", "-1", "--switches", "0"], _MODEL_TEXT),
+        (["controls", "--direction", "up", "--buttons", "0", "--switches", "-1"], _MODEL_TEXT),
+        (["controls", "--direction", "up", "--buttons", "1", "--switches", "0"],
+         _MODEL_TEXT.replace("val p0", "val Q")),
+        (["controls", "--direction", "up", "--buttons", "1", "--switches", "0"],
+         _MODEL_TEXT.replace("val p1", "val true")),
+    ])
+    def test_bad_input_is_a_usage_error(self, capsys, tmp_path, argv, frame):
+        if frame is None:
+            argv = argv + ["-o", str(tmp_path / "g.frame")]
+        else:
+            (tmp_path / "m.frame").write_text(frame)
+            argv = argv + ["--frame", str(tmp_path / "m.frame")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith(("usage error: ", "error: "))
+
+    def test_powerset_budget_checked_before_the_index_lists(self, capsys, tmp_path):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "gen", "--kind", "powerset", "--classes", "300000",
+                                 "-o", str(tmp_path / "g.frame"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (4, "") and "worlds exceeds budget" in err
+        assert peak < 1 << 20
+
     def test_internal_error_has_its_own_code(self, capsys, monkeypatch):
         from bikripke import cli
 
@@ -115,23 +163,17 @@ _formula_text = st.recursive(
                   st.sampled_from(["&", "|", "->", "<->"]), sub)),
     max_leaves=8)
 
-_MODEL_TEXT = """frame f
-worlds 3
-up 0 1
-up 1 2
-closure reflexive transitive
-point 0
-val p0 1 2
-val p1 0
-end
-"""
-
-
 @st.composite
-def _broken_frame_file(draw) -> bytes:
-    """A model file with lines dropped, repeated, cut, replaced or
-    inserted, possibly followed by raw bytes that need not be UTF-8."""
-    lines = _MODEL_TEXT.splitlines()
+def _broken_frame_file(draw, letters=st.none()) -> bytes:
+    """A model file whose letters may be renamed to what `letters` draws, with
+    lines dropped, repeated, cut, replaced or inserted, possibly followed by
+    raw bytes that need not be UTF-8."""
+    text = _MODEL_TEXT
+    for old in ("p0", "p1"):
+        new = draw(letters)
+        if new is not None:
+            text = text.replace(f"val {old} ", f"val {new} ")
+    lines = text.splitlines()
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(lines) - 1))
         edit = draw(st.sampled_from(["drop", "repeat", "cut", "replace", "insert"]))
@@ -192,6 +234,74 @@ class TestFuzzMain:
         path = tmp_path / "model.txt"
         path.write_bytes(data)
         self.run(capsys, "check", "--frame", str(path), text)
+
+
+# Every integer option's lower bound and the values below it.  Larger values
+# only grow the generated frames and fragments.
+_SMALL = st.integers(-2, 4)
+_int_text = st.lists(st.integers(-1, 3), max_size=3).map(lambda xs: ",".join(map(str, xs)))
+
+
+@st.composite
+def _gen_options(draw) -> list[str]:
+    argv = ["--kind", draw(st.sampled_from(["point", "cluster", "chain", "bs",
+                                            "powerset", "combo"]))]
+    for option in ("--size", "--height", "--buttons", "--switches", "--cluster"):
+        if draw(st.booleans()):
+            argv += [option, str(draw(_SMALL))]
+    for option in ("--classes", "--point"):
+        if draw(st.booleans()):
+            argv += [option, draw(st.one_of(st.text(max_size=6), _int_text,
+                                            st.sampled_from(["full", "empty"])))]
+    return argv
+
+
+class TestFuzzOptions:
+    """gen, ml and controls, with every integer option drawn and the model
+    file's letters renamed to arbitrary text: a documented exit code (0-4)
+    and never an internal error."""
+
+    run = staticmethod(TestFuzzMain.run)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_gen_options())
+    @example(["--kind", "powerset", "--classes", "a"])
+    @example(["--kind", "powerset", "--point", "1,x"])
+    @example(["--kind", "powerset", "--point", "9" * 5000])
+    @example(["--kind", "bs", "--buttons", "-1"])
+    @example(["--kind", "combo", "--buttons", "-1"])
+    @example(["--kind", "combo", "--cluster", "0"])
+    def test_gen(self, capsys, tmp_path, argv):
+        self.run(capsys, "gen", *argv, "-o", str(tmp_path / "g.frame"))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_broken_frame_file(st.text(max_size=4)), st.sampled_from(["up", "down", "both"]),
+           st.integers(-2, 2), _SMALL)
+    @example(_MODEL_TEXT.encode(), "up", 0, 3)
+    def test_ml(self, capsys, tmp_path, data, direction, k, size):
+        path = tmp_path / "model.txt"
+        path.write_bytes(data)
+        self.run(capsys, "ml", "--frame", str(path), "--direction", direction,
+                 "--letters", str(k), "--size", str(size))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_broken_frame_file(st.text(max_size=4)), st.sampled_from(["up", "down"]),
+           _SMALL, _SMALL, st.one_of(st.none(), _SMALL))
+    @example(_MODEL_TEXT.encode(), "up", -1, 0, None)
+    @example(_MODEL_TEXT.encode(), "up", 0, -1, None)
+    @example(_MODEL_TEXT.replace("val p0", "val Q").encode(), "up", 1, 0, None)
+    @example(_MODEL_TEXT.replace("val p1", "val true").encode(), "down", 1, 0, None)
+    def test_controls(self, capsys, tmp_path, data, direction, buttons, switches, horizon):
+        path = tmp_path / "model.txt"
+        path.write_bytes(data)
+        argv = ["controls", "--frame", str(path), "--direction", direction,
+                "--buttons", str(buttons), "--switches", str(switches)]
+        if horizon is not None:
+            argv += ["--horizon", str(horizon)]
+        self.run(capsys, *argv)
 
 
 class TestCheckCommand:

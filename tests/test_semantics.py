@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from bikripke import semantics
 from bikripke.errors import BadWorldIndex, BudgetExceeded
-from bikripke.formula import DOWN, UP, Bot, Box, Top, letters, parse, substitute
+from bikripke.formula import (DOWN, UP, Bot, Box, Top, enumerate_formulas, letters, parse,
+                              substitute)
 from bikripke.frame import (Frame, PointedModel, WorldSet, chain, cluster, combo_frame,
                             make_frame, powerset_frame, single_point)
 from bikripke.semantics import (
@@ -319,9 +320,9 @@ class TestCellTables:
         # p0 ranges over every member, so its value holds every cell set.
         ctx = semantics._MlContext(m)
         algebra = ctx.algebra
-        pool = semantics._Pool(ctx, ("p0",))
+        table = semantics._sweep_table(ctx, ("p0",))
         cells = sorted(algebra.cells, key=lambda cell: not cell >> m.point & 1)
-        w = pool.width
+        w = len(algebra)
 
         def value(worlds):
             """The sweep value whose assignment i holds worlds[i], a union of
@@ -329,12 +330,12 @@ class TestCellTables:
             return sum(int("".join("1" if mask & cell else "0" for mask in reversed(worlds)), 2)
                        << s * w for s, cell in enumerate(cells))
 
-        x = pool.atoms["p0"]
+        x = table.atoms["p0"]
         members = algebra.masks()
         assert x == value(members)
-        assert pool.full == value([(1 << m.frame.n) - 1] * w)
-        assert pool.box(d, x) == value([semantics._box_mask(m.frame, d, y) for y in members])
-        assert pool.dia(d, x) == value([semantics._dia_mask(m.frame, d, y) for y in members])
+        assert table.full == value([(1 << m.frame.n) - 1] * w)
+        assert table.box(d, x) == value([semantics._box_mask(m.frame, d, y) for y in members])
+        assert table.dia(d, x) == value([semantics._dia_mask(m.frame, d, y) for y in members])
 
     def test_sweep_same_as_world_level_loop(self):
         # The old world-level sweep: letters range over algebra members as
@@ -516,13 +517,13 @@ class TestSweepPool:
                     for f in frag.formulas]
 
         builds = []
-        init = semantics._Pool.__init__
+        build = semantics._sweep_table
 
-        def counted(pool, ctx, letters):
+        def counted(ctx, letters):
             builds.append(letters)
-            init(pool, ctx, letters)
+            return build(ctx, letters)
 
-        monkeypatch.setattr(semantics._Pool, "__init__", counted)
+        monkeypatch.setattr(semantics, "_sweep_table", counted)
         spends = []
         spend = semantics._MlContext.spend
 
@@ -543,10 +544,11 @@ class TestSweepPool:
         ctx = semantics._ml_context(m)
         f = parse("<u>[u]true -> [d]false")
         assert ml_status(m, f).how == "closed formula"
+        closed = ctx.tables[("top", ())].memo
         # Proper subformulas stay; the root does not.
-        assert parse("<u>[u]true") in ctx.closed and f not in ctx.closed
-        for g in ctx.closed:
-            assert ctx.closed[g] == eval_mask(m, g)
+        assert parse("<u>[u]true") in closed and f not in closed
+        for g in closed:
+            assert closed[g] == eval_mask(m, g)
 
 
 def reflexive_model(r: random.Random, transitive: bool) -> PointedModel:
@@ -684,7 +686,7 @@ class TestPlTables:
         assert str(err.value) == "PL truth table exceeds 500000 assignments"
         # One value of the table takes 2^19 bits, 64 KB.
         assert peak < (1 << 19) // 8
-        assert not ctx.pl_tables
+        assert not ctx.tables
 
 
 def dead_end_chain(n: int) -> PointedModel:
@@ -721,6 +723,162 @@ class TestSingleWorldCone:
                 want = ml_status(exact, f)
                 assert want.how in ("exact sweep", "closed formula")
                 assert out.status == want.status, (f, out.how)
+
+
+def reference_family_cert(ctx, d):
+    """The certificate the old route simulated through: find_family's first
+    family on the ladder, certified a second time by check_independent."""
+    from bikripke.controls import check_independent, find_family
+    certs = ctx.__dict__.setdefault("reference_certs", {})
+    if d not in certs:
+        m = ctx.model
+        certs[d] = None
+        shapes = ((2, 2), (2, 1), (1, 2), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1))
+        for shape, horizon in itertools.product(shapes, (None, 2, 1, 0)):
+            fam = find_family(m, m.point, d, *shape, horizon=horizon)
+            if fam is not None:
+                certs[d] = check_independent(m, fam, horizon=fam.horizon)
+                break
+    return certs[d]
+
+
+def reference_monomodal(ctx, f, ls, d):
+    """The old monomodal branch: is_valid for S5, S4.2 and S4 in turn, then
+    decide for the countermodel to simulate."""
+    from bikripke.controls import simulate_countermodel
+    from bikripke.errors import InsufficientControls, VerificationFailed
+    from bikripke.theories import S4, S4_2, S5, decide, is_valid
+    m = ctx.model
+    frame = m.frame
+    props = frame.props
+    rt = props.reflexive and props.transitive
+    directed = props.up_directed if d is UP else props.down_directed
+    cone = frame.cone_mask(m.point, d)
+    cone_cluster = all(frame.masks(d)[w] & cone == cone for w in WorldSet(frame.n, cone))
+    if cone == 1 << m.point:
+        return semantics.MlOutcome(not ctx.pl_failing(f, ls, not frame.masks(d)[m.point]),
+                                   how="single-world cone")
+    if props.reflexive:
+        out = semantics._constant_refute(ctx, f, ls)
+        if out is not None:
+            return out
+    if cone_cluster and is_valid(S5, f):
+        return semantics.MlOutcome(True, how="S5 validity on cluster cone")
+    if rt and directed and is_valid(S4_2, f):
+        return semantics.MlOutcome(True, how="S4.2 validity on directed frame")
+    if rt and is_valid(S4, f):
+        return semantics.MlOutcome(True, how="S4 validity")
+    if rt and (cone_cluster or directed):
+        verdict = decide(S5 if cone_cluster else S4_2, f)
+        if verdict.is_invalid and verdict.countermodel is not None:
+            cert = reference_family_cert(ctx, d)
+            if cert is not None:
+                try:
+                    sigma = simulate_countermodel(cert, f, verdict.countermodel)
+                    return semantics.MlOutcome(False, witness=sigma,
+                                               how="simulated countermodel")
+                except (InsufficientControls, VerificationFailed):
+                    pass
+    return semantics.MlOutcome(None, how="unresolved")
+
+
+def reference_ml_status(ctx, f):
+    """ml_status's routes as they stood before the certified route asked one
+    theory once: a monomodal branch of its own, and constant substitution
+    called from both branches."""
+    from bikripke.formula import Atom, Imp, directions
+    m = ctx.model
+    if not letters(f):
+        return semantics.MlOutcome(ctx.constant_mask(f) >> m.point & 1 == 1,
+                                   how="closed formula")
+    ls = tuple(sorted(letters(f)))
+    if ctx.algebra is not None:
+        try:
+            return semantics._sweep(ctx, f, ls)
+        except BudgetExceeded:
+            pass
+    if (len(ls) == 1 and isinstance(f, Imp) and isinstance(f.left, Atom)
+            and f.left.name == ls[0] and semantics._positive_only(f.right, ls[0])):
+        env = dict(m.valuation)
+        env[ls[0]] = 1 << m.point
+        if (eval_mask(m, f.right, env=env) >> m.point) & 1:
+            return semantics.MlOutcome(True, how="monotone rule")
+    dirs = directions(f)
+    if len(dirs) <= 1:
+        out = reference_monomodal(ctx, f, ls, next(iter(dirs)) if dirs else UP)
+        if out.status is not None:
+            return out
+    elif m.frame.props.reflexive:
+        out = semantics._constant_refute(ctx, f, ls)
+        if out is not None:
+            return out
+    out = semantics._probe_refute(ctx, f, ls)
+    if out is not None:
+        return out
+    return semantics.MlOutcome(None, how="unresolved")
+
+
+def same_as_reference(m, formulas):
+    """(status, how, witness) of ml_status on m against the reference route
+    on a copy of m, whose context is its own."""
+    ref = semantics._ml_context(PointedModel(m.frame, m.valuation, m.point))
+    ref.algebra = semantics._ml_context(m).algebra
+    for f in formulas:
+        got, want = ml_status(m, f), reference_ml_status(ref, f)
+        assert (got.status, got.how, got.witness) == (want.status, want.how, want.witness), f
+
+
+class TestOneCertifiedRoute:
+    """The certified route asks the governing theory once, and answers as the
+    route it replaced, kept above as reference_ml_status."""
+
+    @pytest.mark.parametrize("name, d, route", [
+        ("thm4_model", UP, "single-world cone"),
+        ("thm4_model", DOWN, "simulated countermodel"),
+        ("thm5_model", UP, "simulated countermodel"),
+        ("thm5_model", DOWN, "simulated countermodel")])
+    def test_lattice_fragments_equal_reference(self, name, d, route):
+        from bikripke import cli
+        hows = set()
+        for k, size in ((1, 6), (2, 4)):
+            m = getattr(cli, name)()
+            formulas = list(enumerate_formulas(k, size, {d}))
+            same_as_reference(m, formulas)
+            hows |= {ml_status(m, f).how for f in formulas}
+        assert route in hows
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(["any", "reflexive", "preorder"]),
+           st.sampled_from([(UP,), (DOWN,), (UP, DOWN)]))
+    def test_small_models_equal_reference(self, seed, kind, dirs):
+        r = random.Random(seed)
+        if kind == "any":
+            m = random_model(r, max_n=6, letters=2)
+        else:
+            m = reflexive_model(r, transitive=kind == "preorder")
+        semantics._ml_context(m).algebra = None   # certified routes only
+        same_as_reference(m, [random_formula(r, 7, letters=2, dirs=dirs)
+                              for _ in range(8)])
+
+    @pytest.mark.parametrize("text", ["<u>p0 -> [u]p0", "[u](<u>p0 -> p0)",
+                                      "~(<u>~p0 & p0)"])
+    def test_simulated_countermodel_compiles_once(self, monkeypatch, text):
+        from bikripke import theories
+        from bikripke.cli import thm5_model
+        compiled = []
+        compile_ = theories._compile
+        monkeypatch.setattr(theories, "_compile",
+                            lambda g: compiled.append(g) or compile_(g))
+        f = parse(text)
+        monkeypatch.setattr(theories, "_store", {})
+        want = reference_ml_status(semantics._ml_context(thm5_model()), f)
+        assert len(compiled) == 2       # is_valid, then decide for the countermodel
+        del compiled[:]
+        monkeypatch.setattr(theories, "_store", {})
+        got = ml_status(thm5_model(), f)
+        assert len(compiled) == 1
+        assert got.how == "simulated countermodel"
+        assert (got.status, got.how, got.witness) == (want.status, want.how, want.witness)
 
 
 def _deep_formula(depth: int):
