@@ -41,7 +41,7 @@ from .formula import (
     letters as formula_letters,
     substitute,
 )
-from .frame import PointedModel, WorldSet
+from .frame import Frame, PointedModel, WorldSet, _squash
 from .semantics import _box_mask, _dia_mask, _ml_context, eval_mask, holds_at
 
 
@@ -324,23 +324,13 @@ def _generated_submodel(cm: PointedModel) -> PointedModel:
     """Restrict cm to the up-cone of its point, reindexing worlds."""
     n = cm.frame.n
     cone = cm.frame.cone_mask(cm.point, UP)
-    keep = sorted(WorldSet(n, cone))
+    keep = list(WorldSet(n, cone))
     if len(keep) == n:
         return cm
-    remap = {w: i for i, w in enumerate(keep)}
-
-    def squash(mask: int) -> int:
-        out = 0
-        for w in keep:
-            if (mask >> w) & 1:
-                out |= 1 << remap[w]
-        return out
-
-    from .frame import Frame
-    frame = Frame(len(keep), tuple(squash(cm.frame.up_masks[w]) for w in keep),
+    frame = Frame(len(keep), tuple(_squash(cm.frame.up_masks[w], keep) for w in keep),
                   cm.frame.name)
-    val = {l: squash(mk) for l, mk in cm.valuation.items()}
-    return PointedModel(frame, val, remap[cm.point])
+    val = {l: _squash(mk, keep) for l, mk in cm.valuation.items()}
+    return PointedModel(frame, val, keep.index(cm.point))
 
 
 def _clusters(cm: PointedModel) -> tuple[list[int], list[int], list[list[int]]]:

@@ -3,6 +3,14 @@
 Worlds are 0..n-1.  Only the up relation is stored, as one adjacency bitmask
 per world; the down relation is always derived as the converse, so the two
 can never drift apart.  World sets are dense bitmasks wrapped in WorldSet.
+
+The loops over rows that frames, constructors and callers share are five
+helpers: _image (the union of the rows of a set's worlds), _reach
+(reachability), _converse, _squash (renumbering onto kept worlds) and
+_superset_rows (the subset-lattice rows of powerset and button/switch
+frames, built top down in k * 2^k steps).
+Each constructor checks WORLD_BUDGET from its arguments before it builds a
+row, so an oversized request costs no memory.
 """
 
 from __future__ import annotations
@@ -81,6 +89,67 @@ class WorldSet:
         return f"WorldSet({self.n}, {{{', '.join(map(str, self))}}})"
 
 
+# Rows are adjacency masks indexed by world: rows[w] holds w's successors.
+
+def _image(rows, mask: int) -> int:
+    """Union of rows[w] over the worlds w of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _reach(rows, seed: int) -> int:
+    """seed and every world reachable from it along rows."""
+    seen = frontier = seed
+    while frontier:
+        nxt = _image(rows, frontier)
+        frontier = nxt & ~seen
+        seen |= nxt
+    return seen
+
+
+def _converse(rows) -> tuple[int, ...]:
+    """The converse relation's rows: j's row holds i iff rows[i] holds j."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(out)
+
+
+def _squash(mask: int, keep) -> int:
+    """mask renumbered onto the ascending worlds of keep: bit i is keep[i]'s.
+    Worlds outside keep are dropped."""
+    out = 0
+    for i, w in enumerate(keep):
+        if mask >> w & 1:
+            out |= 1 << i
+    return out
+
+
+def _superset_rows(k: int, block: int = 1, width: int = 1) -> list[int]:
+    """Row s, for each subset s of range(k), holds block at bit t * width for
+    every superset t of s.  Built top down, row s being its own block ORed
+    with the rows of the sets one index larger: k * 2^k steps, not 3^k."""
+    full = (1 << k) - 1
+    rows = [0] * (1 << k)
+    for s in range(full, -1, -1):
+        row = block << s * width
+        missing = full ^ s
+        while missing:
+            low = missing & -missing
+            row |= rows[s | low]
+            missing ^= low
+        rows[s] = row
+    return rows
+
+
 @dataclass(frozen=True)
 class FrameProperties:
     reflexive: bool
@@ -116,14 +185,7 @@ class Frame:
 
     @cached_property
     def down_masks(self) -> tuple[int, ...]:
-        down = [0] * self.n
-        for i, row in enumerate(self.up_masks):
-            m = row
-            while m:
-                low = m & -m
-                down[low.bit_length() - 1] |= 1 << i
-                m ^= low
-        return tuple(down)
+        return _converse(self.up_masks)
 
     def masks(self, dir: Direction) -> tuple[int, ...]:
         return self.up_masks if dir is UP else self.down_masks
@@ -150,36 +212,14 @@ class Frame:
     def cone_mask(self, w: int, dir: Direction = UP) -> int:
         """Reflexive-transitive reachability from w along dir, as a mask."""
         self._check(w)
-        masks = self.masks(dir)
-        seen = 1 << w
-        frontier = seen
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= masks[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & ~seen
-            seen |= nxt
-        return seen
+        return _reach(self.masks(dir), 1 << w)
 
     @cached_property
     def props(self) -> FrameProperties:
         n = self.n
         up = self.up_masks
         reflexive = all((up[i] >> i) & 1 for i in range(n))
-        transitive = True
-        for i in range(n):
-            reach = 0
-            m = up[i]
-            while m:
-                low = m & -m
-                reach |= up[low.bit_length() - 1]
-                m ^= low
-            if reach & ~up[i]:
-                transitive = False
-                break
+        transitive = all(_image(up, row) & ~row == 0 for row in up)
         down = self.down_masks
         antisymmetric = all(up[i] & down[i] & ~(1 << i) == 0 for i in range(n))
         return FrameProperties(
@@ -204,16 +244,7 @@ class Frame:
                 low = m & -m
                 together[low.bit_length() - 1] |= cone
                 m ^= low
-        for i in range(n):
-            shared = 0
-            m = masks[i]
-            while m:
-                low = m & -m
-                shared |= back[low.bit_length() - 1]
-                m ^= low
-            if together[i] & ~shared:
-                return False
-        return True
+        return all(together[i] & ~_image(back, masks[i]) == 0 for i in range(n))
 
     def __eq__(self, other):
         return (isinstance(other, Frame)
@@ -300,19 +331,7 @@ def make_frame(n: int, edges: list[tuple[int, int]],
             raise BadWorldIndex(f"edge ({i},{j}) out of range for {n} worlds")
         masks[i] |= 1 << j
     if "transitive" in close:
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                reach = masks[i]
-                m = masks[i]
-                while m:
-                    low = m & -m
-                    reach |= masks[low.bit_length() - 1]
-                    m ^= low
-                if reach != masks[i]:
-                    masks[i] = reach
-                    changed = True
+        masks = [_reach(masks, row) for row in masks]
     if "reflexive" in close:
         for i in range(n):
             masks[i] |= 1 << i
@@ -328,6 +347,8 @@ def cluster(c: int) -> Frame:
     """c worlds with the total up relation."""
     if c < 1:
         raise BadWorldIndex("cluster size must be >= 1")
+    if c > WORLD_BUDGET:
+        raise BudgetExceeded(f"{c} worlds exceeds budget {WORLD_BUDGET}")
     full = (1 << c) - 1
     return Frame(c, tuple(full for _ in range(c)), f"cluster{c}")
 
@@ -336,6 +357,8 @@ def chain(h: int) -> Frame:
     """h worlds linearly ordered, reflexive and transitive."""
     if h < 1:
         raise BadWorldIndex("chain height must be >= 1")
+    if h > WORLD_BUDGET:
+        raise BudgetExceeded(f"{h} worlds exceeds budget {WORLD_BUDGET}")
     full = (1 << h) - 1
     return Frame(h, tuple((full >> i) << i for i in range(h)), f"chain{h}")
 
@@ -346,33 +369,15 @@ def bs_frame(m: int, n: int) -> tuple[Frame, int]:
     (∅, 0..0).  World id = A_mask * 2^n + t_mask."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
-    worlds = (1 << m) * (1 << n)
-    if worlds > WORLD_BUDGET:
+    # 2^(m+n) > WORLD_BUDGET, decided on the exponent so that no huge int
+    # is built.
+    if m + n >= WORLD_BUDGET.bit_length():
         raise BudgetExceeded(f"2^{m}*2^{n} worlds exceeds budget {WORLD_BUDGET}")
     tcount = 1 << n
-    tfull = (1 << tcount) - 1
-    masks = []
-    supersets = _superset_masks(m)
-    for a in range(1 << m):
-        # Successors: every (A', t') with A ⊆ A'.
-        row = 0
-        for a2 in supersets[a]:
-            row |= tfull << (a2 * tcount)
-        masks.extend([row] * tcount)
-    return Frame(worlds, tuple(masks), f"bs{m}_{n}"), 0
-
-
-def _superset_masks(m: int) -> list[list[int]]:
-    out = []
-    for a in range(1 << m):
-        rest = ((1 << m) - 1) & ~a
-        sups = [a]
-        sub = rest
-        while sub:
-            sups.append(a | sub)
-            sub = (sub - 1) & rest
-        out.append(sorted(sups))
-    return out
+    # Successors of (A, t): every (A', t') with A ⊆ A'.
+    rows = _superset_rows(m, (1 << tcount) - 1, tcount)
+    masks = tuple(row for row in rows for _ in range(tcount))
+    return Frame(len(masks), masks, f"bs{m}_{n}"), 0
 
 
 def bs_model(m: int, n: int) -> PointedModel:
@@ -425,16 +430,7 @@ def powerset_frame(button_indices: Iterable[int],
     pos = {idx: p for p, idx in enumerate(universe)}
     n_worlds = 1 << k
 
-    masks = []
-    for s in range(n_worlds):
-        rest = (n_worlds - 1) & ~s
-        row = 1 << s
-        sub = rest
-        while sub:
-            row |= 1 << (s | sub)
-            sub = (sub - 1) & rest
-        masks.append(row)
-    frame = Frame(n_worlds, tuple(masks), f"powerset{k}")
+    frame = Frame(n_worlds, tuple(_superset_rows(k)), f"powerset{k}")
 
     val: dict[str, int] = {}
     for i in buttons:
@@ -467,64 +463,25 @@ def combo_frame(kind: str, c: int, m: int, n: int) -> PointedModel:
         raise ValueError("cluster size must be >= 1")
     base = bs_model(m, n)
     bn = base.frame.n
-    # bs worlds other than the root, in their original order.
+    # bs worlds other than the root, in their original order, then K.
     keep = [w for w in range(bn) if w != base.point]
-    remap = {w: i for i, w in enumerate(keep)}
     total = len(keep) + c
     if total > WORLD_BUDGET:
         raise BudgetExceeded(f"{total} worlds exceeds budget {WORLD_BUDGET}")
-    cluster_ids = list(range(len(keep), total))
-    cluster_mask = sum(1 << w for w in cluster_ids)
-
-    bs_rows = [0] * len(keep)
-    for w in keep:
-        row = base.frame.up_masks[w] & ~(1 << base.point)
-        new_row = 0
-        mm = row
-        while mm:
-            low = mm & -mm
-            new_row |= 1 << remap[low.bit_length() - 1]
-            mm ^= low
-        bs_rows[remap[w]] = new_row
-
-    masks = [0] * total
+    cluster_mask = ((1 << c) - 1) << len(keep)
+    # A plain list: with m = n = 0 it is empty, which a Frame refuses.
+    bs_rows = [_squash(base.frame.up_masks[w], keep) for w in keep]
     if kind == "cluster_below_bs":
-        reach = base.frame.up_masks[base.point] & ~(1 << base.point)
-        reach_new = 0
-        mm = reach
-        while mm:
-            low = mm & -mm
-            reach_new |= 1 << remap[low.bit_length() - 1]
-            mm ^= low
-        for i, row in enumerate(bs_rows):
-            masks[i] = row
-        for w in cluster_ids:
-            masks[w] = cluster_mask | reach_new
+        reach = _squash(base.frame.up_masks[base.point], keep)
+        masks = bs_rows + [cluster_mask | reach] * c
     else:
         # Order dual: reverse the bs relation, then everything sees the cluster.
-        for i in range(len(keep)):
-            rev = 0
-            for j in range(len(keep)):
-                if (bs_rows[j] >> i) & 1:
-                    rev |= 1 << j
-            masks[i] = rev | cluster_mask
-        for w in cluster_ids:
-            masks[w] = cluster_mask
-
-    val: dict[str, int] = {}
-    for letter, mask in base.valuation.items():
-        new_mask = 0
-        mm = mask & ~(1 << base.point)
-        while mm:
-            low = mm & -mm
-            new_mask |= 1 << remap[low.bit_length() - 1]
-            mm ^= low
-        val[letter] = new_mask
-    for i, w in enumerate(cluster_ids):
-        val[f"k{i}"] = 1 << w
-
+        masks = [row | cluster_mask for row in _converse(bs_rows)] + [cluster_mask] * c
+    val = {letter: _squash(mask, keep) for letter, mask in base.valuation.items()}
+    for i in range(c):
+        val[f"k{i}"] = 1 << len(keep) + i
     frame = Frame(total, tuple(masks), f"combo_{kind}_{c}_{m}_{n}")
-    return PointedModel(frame, val, cluster_ids[0])
+    return PointedModel(frame, val, len(keep))
 
 
 # ---------------------------------------------------------------------------

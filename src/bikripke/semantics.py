@@ -65,7 +65,7 @@ from .formula import (
     polarity,
     substitute,
 )
-from .frame import Frame, PointedModel, WorldSet
+from .frame import Frame, PointedModel, WorldSet, _reach
 from .theories import S4, S4_2, S5, _index_column, decide
 
 
@@ -224,24 +224,14 @@ def multiverse_truth(m: PointedModel, f: Formula) -> WorldSet:
     """Worlds from which f holds everywhere reachable by any alternation of
     up and down steps.  Constant per connected component: full or empty."""
     n = m.frame.n
-    adj = [m.frame.up_masks[w] | m.frame.down_masks[w] | (1 << w) for w in range(n)]
+    adj = [up | down for up, down in zip(m.frame.up_masks, m.frame.down_masks)]
     truth = eval_mask(m, f)
     seen = 0
     out = 0
     for w in range(n):
         if (seen >> w) & 1:
             continue
-        comp = 1 << w
-        frontier = comp
-        while frontier:
-            nxt = 0
-            mm = frontier
-            while mm:
-                low = mm & -mm
-                nxt |= adj[low.bit_length() - 1]
-                mm ^= low
-            frontier = nxt & ~comp
-            comp |= nxt
+        comp = _reach(adj, 1 << w)
         seen |= comp
         if comp & ~truth == 0:
             out |= comp
@@ -376,11 +366,6 @@ class _DirInfo:
                     return cert
         return None
 
-
-# Entries a model's ml_status cache holds before it is emptied, the verdict
-# store's rule; a k=1, size <= 6 fragment asks 10,560 in one direction
-# and 42,822 in both.
-_ML_CACHE_LIMIT = 1 << 16
 
 # Bytes a model's value tables may hold: the exact sweep's values with their
 # formula and modal memos, the PL truth tables and the constant instances'
@@ -519,7 +504,6 @@ class _MlContext:
         self._dirs: dict[Direction, _DirInfo] = {}
         self.tables: dict[tuple[str, tuple[str, ...]], _Table] = {}
         self.held = 0
-        self.ml_cache: dict[Formula, MlOutcome] = {}
         self.control_masks: dict[Direction, object] = {}
 
     @cached_property
@@ -628,21 +612,13 @@ def ml_status(m: PointedModel, f: Formula) -> MlOutcome:
     algebra, exactly when the algebra is within budget, otherwise by sound
     certified reasoning (class validity for membership, verified refuting
     substitutions for non-membership)."""
-    ctx = _ml_context(m)
     try:
-        hit = ctx.ml_cache.get(f)
-        if hit is not None:
-            return hit
-        out = _ml_status_uncached(ctx, f)
+        return _ml_status(_ml_context(m), f)
     except RecursionError:
         raise _too_deep() from None
-    if len(ctx.ml_cache) >= _ML_CACHE_LIMIT:
-        ctx.ml_cache.clear()
-    ctx.ml_cache[f] = out
-    return out
 
 
-def _ml_status_uncached(ctx: _MlContext, f: Formula) -> MlOutcome:
+def _ml_status(ctx: _MlContext, f: Formula) -> MlOutcome:
     m = ctx.model
     if not formula_letters(f):
         return MlOutcome(ctx.constant_mask(f) >> m.point & 1 == 1, how="closed formula")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from bikripke.cli import main
+from bikripke.errors import WORLD_BUDGET
 from bikripke.frame import load, loads
 from bikripke.semantics import holds_at
 
@@ -141,6 +142,23 @@ class TestExitCodes:
         assert (code, out) == (4, "") and "worlds exceeds budget" in err
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "chain", "--height", "100000"],
+        ["--kind", "cluster", "--size", "100000000"],
+        ["--kind", "bs", "--buttons", "1000000000"],
+        ["--kind", "combo", "--buttons", "1000000000"],
+    ], ids=["chain", "cluster", "bs", "combo"])
+    def test_constructor_budget_checked_before_building(self, capsys, tmp_path, argv):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "gen", *argv, "-o", str(tmp_path / "g.frame"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (4, "") and "worlds exceeds budget" in err
+        assert peak < 1 << 20
+
     def test_internal_error_has_its_own_code(self, capsys, monkeypatch):
         from bikripke import cli
 
@@ -239,6 +257,12 @@ class TestFuzzMain:
 # Every integer option's lower bound and the values below it.  Larger values
 # only grow the generated frames and fragments.
 _SMALL = st.integers(-2, 4)
+# gen's options also take values past the world budget, which must exit 4
+# before anything is built.  Between the two ranges lie frames near the
+# budget, slow to build and save, so no draw falls there: with at most two
+# small exponents m + n stays at most 8.
+_EXPONENT = st.one_of(_SMALL, st.integers(WORLD_BUDGET.bit_length(), 10 ** 12))
+_WORLDS = st.one_of(_SMALL, st.integers(WORLD_BUDGET + 1, 10 ** 12))
 _int_text = st.lists(st.integers(-1, 3), max_size=3).map(lambda xs: ",".join(map(str, xs)))
 
 
@@ -246,9 +270,10 @@ _int_text = st.lists(st.integers(-1, 3), max_size=3).map(lambda xs: ",".join(map
 def _gen_options(draw) -> list[str]:
     argv = ["--kind", draw(st.sampled_from(["point", "cluster", "chain", "bs",
                                             "powerset", "combo"]))]
-    for option in ("--size", "--height", "--buttons", "--switches", "--cluster"):
+    for option, values in (("--size", _WORLDS), ("--height", _WORLDS), ("--buttons", _EXPONENT),
+                           ("--switches", _EXPONENT), ("--cluster", _WORLDS)):
         if draw(st.booleans()):
-            argv += [option, str(draw(_SMALL))]
+            argv += [option, str(draw(values))]
     for option in ("--classes", "--point"):
         if draw(st.booleans()):
             argv += [option, draw(st.one_of(st.text(max_size=6), _int_text,
@@ -272,6 +297,9 @@ class TestFuzzOptions:
     @example(["--kind", "bs", "--buttons", "-1"])
     @example(["--kind", "combo", "--buttons", "-1"])
     @example(["--kind", "combo", "--cluster", "0"])
+    @example(["--kind", "chain", "--height", "100000"])
+    @example(["--kind", "cluster", "--size", "100000000"])
+    @example(["--kind", "bs", "--buttons", "1000000000"])
     def test_gen(self, capsys, tmp_path, argv):
         self.run(capsys, "gen", *argv, "-o", str(tmp_path / "g.frame"))
 

@@ -1,8 +1,11 @@
 import itertools
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bikripke import frame as frame_module
 from bikripke.errors import (
     BadWorldIndex,
     BudgetExceeded,
@@ -12,6 +15,7 @@ from bikripke.errors import (
 from bikripke.formula import DOWN, UP
 from bikripke.frame import (
     Frame,
+    PointedModel,
     WorldSet,
     bs_frame,
     bs_model,
@@ -23,6 +27,7 @@ from bikripke.frame import (
     make_frame,
     powerset_frame,
     properties,
+    dumps,
     save,
     single_point,
 )
@@ -212,6 +217,263 @@ class TestPropsByBitOperations:
         assert props.antisymmetric == pairwise_antisymmetric(f)
         assert props.up_directed == pairwise_directed(f, UP)
         assert props.down_directed == pairwise_directed(f, DOWN)
+
+
+# ---------------------------------------------------------------------------
+# Reference constructors: one loop per world set, supersets enumerated per
+# set (3^k steps), as the frames were first built.  The library's must
+# build the same rows, names, valuations and points.
+# ---------------------------------------------------------------------------
+
+def ref_down_masks(f: Frame) -> tuple[int, ...]:
+    down = [0] * f.n
+    for i in range(f.n):
+        for j in range(f.n):
+            if (f.up_masks[i] >> j) & 1:
+                down[j] |= 1 << i
+    return tuple(down)
+
+
+def ref_cone_mask(f: Frame, w: int, d) -> int:
+    masks = f.up_masks if d is UP else ref_down_masks(f)
+    seen = frontier = 1 << w
+    while frontier:
+        nxt = 0
+        for v in range(f.n):
+            if (frontier >> v) & 1:
+                nxt |= masks[v]
+        frontier = nxt & ~seen
+        seen |= nxt
+    return seen
+
+
+def ref_transitive(f: Frame) -> bool:
+    up = f.up_masks
+    return not any((up[i] >> j) & 1 and (up[j] >> k) & 1 and not (up[i] >> k) & 1
+                   for i in range(f.n) for j in range(f.n) for k in range(f.n))
+
+
+def ref_make_frame(n, edges, close=frozenset(), name="f") -> Frame:
+    masks = [0] * n
+    for i, j in edges:
+        masks[i] |= 1 << j
+    if "transitive" in close:
+        changed = True
+        while changed:
+            changed = False
+            for i in range(n):
+                reach = masks[i]
+                for j in range(n):
+                    if (masks[i] >> j) & 1:
+                        reach |= masks[j]
+                if reach != masks[i]:
+                    masks[i] = reach
+                    changed = True
+    if "reflexive" in close:
+        for i in range(n):
+            masks[i] |= 1 << i
+    return Frame(n, tuple(masks), name)
+
+
+def ref_cluster(c: int) -> Frame:
+    full = (1 << c) - 1
+    return Frame(c, tuple(full for _ in range(c)), f"cluster{c}")
+
+
+def ref_chain(h: int) -> Frame:
+    full = (1 << h) - 1
+    return Frame(h, tuple((full >> i) << i for i in range(h)), f"chain{h}")
+
+
+def _ref_supersets(k: int, s: int) -> list[int]:
+    rest = ((1 << k) - 1) & ~s
+    sups = [s]
+    sub = rest
+    while sub:
+        sups.append(s | sub)
+        sub = (sub - 1) & rest
+    return sups
+
+
+def ref_bs_frame(m: int, n: int) -> tuple[Frame, int]:
+    tcount = 1 << n
+    tfull = (1 << tcount) - 1
+    masks = []
+    for a in range(1 << m):
+        row = 0
+        for a2 in _ref_supersets(m, a):
+            row |= tfull << (a2 * tcount)
+        masks.extend([row] * tcount)
+    return Frame(len(masks), tuple(masks), f"bs{m}_{n}"), 0
+
+
+def ref_bs_model(m: int, n: int) -> PointedModel:
+    frame, root = ref_bs_frame(m, n)
+    tcount = 1 << n
+    val = {}
+    for i in range(1, m + 1):
+        val[f"b{i}"] = sum(((1 << tcount) - 1) << (a * tcount)
+                           for a in range(1 << m) if (a >> (i - 1)) & 1)
+    for j in range(1, n + 1):
+        val[f"s{j}"] = sum(1 << w for w in range(frame.n) if (w >> (j - 1)) & 1)
+    return PointedModel(frame, val, root)
+
+
+def ref_powerset_frame(buttons, classes, point) -> PointedModel:
+    buttons = sorted(set(buttons))
+    universe = sorted(set(buttons).union(*map(set, classes)))
+    pos = {idx: p for p, idx in enumerate(universe)}
+    k = len(universe)
+    n_worlds = 1 << k
+    rows = tuple(sum(1 << t for t in _ref_supersets(k, s)) for s in range(n_worlds))
+    val = {f"b{i}": sum(1 << s for s in range(n_worlds) if not s & (1 << pos[i]))
+           for i in buttons}
+    for j, cls in enumerate(classes, start=1):
+        mask = 0
+        for s in range(n_worlds):
+            least = next((p for p, idx in enumerate(cls) if s & (1 << pos[idx])), None)
+            if least is not None and least % 2 == 0:
+                mask |= 1 << s
+        val[f"s{j}"] = mask
+    return PointedModel(Frame(n_worlds, rows, f"powerset{k}"), val,
+                        sum(1 << pos[i] for i in set(point)))
+
+
+def ref_combo_frame(kind: str, c: int, m: int, n: int) -> PointedModel:
+    base = ref_bs_model(m, n)
+    keep = [w for w in range(base.frame.n) if w != base.point]
+    remap = {w: i for i, w in enumerate(keep)}
+    total = len(keep) + c
+    cluster_ids = list(range(len(keep), total))
+    cluster_mask = sum(1 << w for w in cluster_ids)
+
+    def squash(mask):
+        return sum(1 << remap[w] for w in keep if (mask >> w) & 1)
+
+    bs_rows = [squash(base.frame.up_masks[w]) for w in keep]
+    masks = [0] * total
+    if kind == "cluster_below_bs":
+        reach = squash(base.frame.up_masks[base.point])
+        masks[:len(keep)] = bs_rows
+        for w in cluster_ids:
+            masks[w] = cluster_mask | reach
+    else:
+        for i in range(len(keep)):
+            masks[i] = cluster_mask | sum(1 << j for j in range(len(keep))
+                                          if (bs_rows[j] >> i) & 1)
+        for w in cluster_ids:
+            masks[w] = cluster_mask
+    val = {letter: squash(mask) for letter, mask in base.valuation.items()}
+    for i, w in enumerate(cluster_ids):
+        val[f"k{i}"] = 1 << w
+    return PointedModel(Frame(total, tuple(masks), f"combo_{kind}_{c}_{m}_{n}"),
+                        val, cluster_ids[0])
+
+
+def assert_same_frame(got: Frame, want: Frame):
+    assert (got.n, got.up_masks, got.name) == (want.n, want.up_masks, want.name)
+    assert got.down_masks == ref_down_masks(want)
+
+
+def assert_same_model(got: PointedModel, want: PointedModel):
+    assert_same_frame(got.frame, want.frame)
+    assert (got.valuation, got.point) == (want.valuation, want.point)
+    assert dumps(got) == dumps(want)
+
+
+_partitions = st.integers(0, 8).flatmap(lambda k: st.tuples(
+    st.permutations(range(k)), st.lists(st.integers(0, k), min_size=3, max_size=3),
+    st.sets(st.integers(0, max(k - 1, 0)), max_size=k)))
+
+
+class TestConstructorsEqualReference:
+    @pytest.mark.parametrize("size", range(1, 30))
+    def test_chain_and_cluster(self, size):
+        assert_same_frame(chain(size), ref_chain(size))
+        assert_same_frame(cluster(size), ref_cluster(size))
+
+    @pytest.mark.parametrize("m, n", itertools.product(range(6), range(4)))
+    def test_bs(self, m, n):
+        (got, root), (want, want_root) = bs_frame(m, n), ref_bs_frame(m, n)
+        assert_same_frame(got, want)
+        assert root == want_root
+        assert_same_model(bs_model(m, n), ref_bs_model(m, n))
+
+    @pytest.mark.parametrize("kind", ["cluster_below_bs", "cluster_above_bs"])
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_combo(self, kind, c):
+        for m, n in itertools.product(range(6), range(4)):
+            assert_same_model(combo_frame(kind, c, m, n), ref_combo_frame(kind, c, m, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_partitions)
+    @example(((), [0, 0, 0], set()))
+    @example((tuple(range(8)), [2, 3, 3], {0, 1, 2, 3, 4, 5, 6, 7}))
+    def test_powerset(self, shape):
+        # Indices in a drawn order, cut into buttons and up to three classes.
+        order, cuts, point = shape
+        lo, *bounds = sorted(cuts)
+        parts = [list(order[a:b]) for a, b in zip([lo] + bounds, bounds + [len(order)])]
+        args = (list(order[:lo]), [p for p in parts if p], point & set(order))
+        assert_same_model(powerset_frame(*args), ref_powerset_frame(*args))
+
+    @pytest.mark.parametrize("point", [range(8), [0, 1, 3, 4, 6, 7]])
+    def test_thm4_thm5_models(self, point):
+        args = ([0, 1], [[2, 3, 4], [5, 6, 7]], point)
+        assert_same_model(powerset_frame(*args), ref_powerset_frame(*args))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=3 * n))))
+    def test_make_frame_props_and_cones(self, drawn):
+        n, edges = drawn
+        for close in ({"reflexive"}, {"transitive"}, {"reflexive", "transitive"}, set()):
+            got, want = make_frame(n, edges, close), ref_make_frame(n, edges, close)
+            assert_same_frame(got, want)
+            props = got.props
+            assert props.reflexive == all((want.up_masks[i] >> i) & 1 for i in range(n))
+            assert props.transitive == ref_transitive(want)
+            assert props.antisymmetric == pairwise_antisymmetric(want)
+            assert props.up_directed == pairwise_directed(want, UP)
+            assert props.down_directed == pairwise_directed(want, DOWN)
+            for d in (UP, DOWN):
+                assert [got.cone_mask(w, d) for w in range(n)] == \
+                    [ref_cone_mask(want, w, d) for w in range(n)]
+
+    def test_powerset_k14_within_a_second(self):
+        # Top-down superset rows: k 2^k steps.  Enumerating each set's
+        # supersets (3^14 steps) took over 2 s.
+        start = time.perf_counter()
+        m = powerset_frame(range(14), [], [])
+        assert time.perf_counter() - start < 1.0
+        assert m.frame.up_masks[0] == (1 << (1 << 14)) - 1
+
+
+class TestBudgetBeforeBuilding:
+    """Each constructor checks WORLD_BUDGET from its arguments before it
+    builds a row: with the budget at 1,000, building first peaked at 51.6 MB
+    (chain), 78.1 MB (cluster) and 25.4 MB (bs_frame)."""
+
+    @pytest.mark.parametrize("build", [lambda: chain(20_000), lambda: cluster(10 ** 7),
+                                       lambda: bs_frame(10 ** 8, 0)],
+                             ids=["chain", "cluster", "bs_frame"])
+    def test_traced_peak_under_1mb(self, monkeypatch, build):
+        monkeypatch.setattr(frame_module, "WORLD_BUDGET", 1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_bs_budget_edge(self, monkeypatch):
+        monkeypatch.setattr(frame_module, "WORLD_BUDGET", 1000)
+        assert bs_frame(5, 4)[0].n == 512
+        with pytest.raises(BudgetExceeded):
+            bs_frame(5, 5)
 
 
 class TestFileFormat:

@@ -453,21 +453,26 @@ class TestDiamondTables:
         assert run() == with_tables
 
 
-class TestMlCacheLimit:
-    def test_bounded_cache_same_answers(self, monkeypatch):
-        def run():
-            m = combo_frame("cluster_below_bs", 2, 2, 1)
-            frag = ml_fragment(m, 1, 5, {UP, DOWN})
-            out = [(f, frag.status[f], ml_status(m, f).witness)
-                   for f in frag.formulas]
-            return out, len(semantics._ml_context(m).ml_cache)
+class TestRepeatedMlStatus:
+    """No ml_status outcome is kept: a repeated call recomputes it from the
+    model's tables, in any order, and must give the same answer."""
 
-        unbounded, size = run()
-        assert size == len(unbounded)
-        monkeypatch.setattr(semantics, "_ML_CACHE_LIMIT", 7)
-        bounded, size = run()
-        assert bounded == unbounded
-        assert 1 <= size <= 7
+    @pytest.mark.parametrize("route, dirs", [("exact", {UP, DOWN}), ("certified", {UP})],
+                             ids=["exact", "certified"])
+    def test_repeated_calls_same_answers(self, route, dirs):
+        from bikripke.cli import thm5_model
+        m = combo_frame("cluster_below_bs", 2, 2, 1) if route == "exact" else thm5_model()
+        frag = ml_fragment(m, 1, 5, dirs)
+
+        def answers(formulas):
+            return [(f, out.status, out.how, out.witness)
+                    for f in formulas for out in [ml_status(m, f)]]
+
+        first = answers(frag.formulas)
+        assert [status for _, status, _, _ in first] == \
+            [frag.status[f] for f in frag.formulas]
+        assert answers(frag.formulas) == first
+        assert answers(frag.formulas[::-1]) == first[::-1]
 
 
 class TestSweepPool:
