@@ -53,6 +53,7 @@ from .frame import (
 from .semantics import eval_mask, holds_at, ml_fragment
 from .theories import PL, S4, S4_2, S5, Theory, classify, decide, is_valid
 from .controls import (
+    HORIZON_LADDER,
     ControlFamily,
     _find_certificate,
     find_family,
@@ -201,15 +202,12 @@ def _fragment_block(rep: Report, m: PointedModel, direction: Direction,
 
 def _controls_block(rep: Report, m: PointedModel, direction: Direction,
                     buttons: int, switches: int,
-                    horizon="ladder") -> Optional[ControlFamily]:
-    if horizon == "ladder":
-        fam = None
-        for h in (None, 2, 1, 0):
-            fam = find_family(m, m.point, direction, buttons, switches, horizon=h)
-            if fam is not None:
-                break
-    else:
+                    horizons=HORIZON_LADDER) -> Optional[ControlFamily]:
+    """The first family found at the horizons in turn, as report lines."""
+    for horizon in horizons:
         fam = find_family(m, m.point, direction, buttons, switches, horizon=horizon)
+        if fam is not None:
+            break
     # Lines land inside the current direction= block of the report.
     if fam is None:
         rep.add("controls.buttons", "none")
@@ -248,7 +246,7 @@ def experiment_thm4(out: Optional[str] = None) -> tuple[Report, bool]:
     _check(rep, failures, "excludes_s5_axiom", frag.status.get(five) is False)
     _check(rep, failures, "classifies_s42", S4_2 in cls.matches)
     _check(rep, failures, "s5_separated", S5 in cls.separators)
-    fam = _controls_block(rep, m, DOWN, 2, 1, horizon=1)
+    fam = _controls_block(rep, m, DOWN, 2, 1, horizons=(1,))
     _check(rep, failures, "controls_found", fam is not None)
     rep.emit(out)
     return rep, not failures

@@ -71,6 +71,11 @@ class ControlFamily:
     horizon: Optional[int] = None   # cover-step horizon it was certified at
 
 
+# Horizons a family search tries in turn: the strict reading first, then
+# ever fewer cover steps.
+HORIZON_LADDER = (None, 2, 1, 0)
+
+
 @dataclass
 class FailureWitness:
     """Why a family is not independent: either a control condition fails at

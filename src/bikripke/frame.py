@@ -49,10 +49,6 @@ class WorldSet:
             mask |= 1 << w
         return cls(n, mask)
 
-    @classmethod
-    def full(cls, n: int) -> "WorldSet":
-        return cls(n, (1 << n) - 1)
-
     def __contains__(self, w: int) -> bool:
         return 0 <= w < self.n and (self.mask >> w) & 1 == 1
 
@@ -265,7 +261,8 @@ def properties(f: Frame) -> FrameProperties:
 class PointedModel:
     """A frame with a valuation (letter -> WorldSet) and a designated world.
 
-    Letters absent from the valuation denote the empty set.  Valuations are
+    Letters absent from the valuation denote the empty set.  A key that is
+    not a formula letter raises ValueError, as Atom does.  Valuations are
     stored as masks; compare structurally.
     """
 
@@ -277,6 +274,8 @@ class PointedModel:
         val: dict[str, int] = {}
         full = (1 << frame.n) - 1
         for letter, ws in valuation.items():
+            if not (isinstance(letter, str) and _is_letter(letter)):
+                raise ValueError(f"bad letter identifier: {letter!r}")
             mask = ws.mask if isinstance(ws, WorldSet) else int(ws)
             if mask & ~full:
                 raise BadWorldIndex(f"valuation of {letter!r} indexes an invalid world")

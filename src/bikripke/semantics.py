@@ -11,9 +11,10 @@ of unions of two-way bisimulation classes, which is how it is computed here.
 Membership in the substitution-closed fragment ml(m, f) quantifies the
 letters of f over the definable algebra.  When the algebra fits the budget
 the quantification is swept exactly on the quotient by those classes, for
-all assignments at once: a value is one Python int with a slice of one bit
-per assignment for each class, so the Boolean connectives are single int
-operations.
+all assignments at once: the quotient frame runs as one block of the
+deciders' block engine (theories._modal), a model per assignment, so a value
+is one Python int with a slice of one bit per assignment for each class, the
+Boolean connectives are single int operations, and diamond is the engine's.
 
 Otherwise membership is resolved by certified reasoning: validity over the
 frame's class implies membership, and a model-checked refuting substitution
@@ -66,7 +67,7 @@ from .formula import (
     substitute,
 )
 from .frame import Frame, PointedModel, WorldSet, _reach
-from .theories import S4, S4_2, S5, _index_column, decide
+from .theories import S4, S4_2, S5, _index_column, _modal, decide
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +206,6 @@ def eval_formula(m: PointedModel, f: Formula) -> WorldSet:
     return WorldSet(m.frame.n, eval_mask(m, f))
 
 
-evaluate = eval_formula
-
-
 def holds_at(m: PointedModel, w: int, f: Formula) -> bool:
     """True iff f holds at world w."""
     if not 0 <= w < m.frame.n:
@@ -289,7 +287,12 @@ def definable_algebra(m: PointedModel, letters: Iterable[str] | None = None,
                       budget: int = ALGEBRA_BUDGET) -> DefinableAlgebra:
     """Least family containing the generators, closed under complement,
     intersection and both box preimages.  Raises BudgetExceeded when the
-    closure has more than `budget` sets."""
+    closure has more than `budget` sets.
+
+    Set j is the union of the cells at the set bits of j.  The cells are
+    disjoint and ascending, so cell i's highest world lies above every world
+    of the cells before it, and the sets already ascend by mask: the exact
+    sweep's index columns and its witnesses sets[j] rely on this order."""
     gens = tuple(sorted(letters)) if letters is not None else tuple(m.letters())
     cells = bisimulation_cells(m, gens)
     q = len(cells)
@@ -298,7 +301,7 @@ def definable_algebra(m: PointedModel, letters: Iterable[str] | None = None,
             f"definable algebra has 2^{q} sets, budget is {budget}")
     n = m.frame.n
     return DefinableAlgebra(m, gens, tuple(cells),
-                            tuple(WorldSet(n, mk) for mk in sorted(_union_table(cells))))
+                            tuple(WorldSet(n, mk) for mk in _union_table(cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +360,10 @@ class _DirInfo:
         """Best certified control family at the point with its certificate,
         searched on first use; None when no shape certifies.  Every search
         of the ladder reads the candidates' masks computed once."""
-        from .controls import _find_certificate
+        from .controls import HORIZON_LADDER, _find_certificate
         m = self.ctx.model
         for shape in ((2, 2), (2, 1), (1, 2), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1)):
-            for horizon in (None, 2, 1, 0):
+            for horizon in HORIZON_LADDER:
                 cert = _find_certificate(m, m.point, self.dir, *shape, horizon=horizon)
                 if cert is not None:
                     return cert
@@ -368,23 +371,24 @@ class _DirInfo:
 
 
 # Bytes a model's value tables may hold: the exact sweep's values with their
-# formula and modal memos, the PL truth tables and the constant instances'
-# world masks.  Past it their memos are emptied together after the walk.  On a
-# 512-set algebra of 9 cells a k=1 value takes 576 bytes, and a k=1,
-# size <= 6 fragment is charged 0.8 MB in all (2.4 MB for both directions); a
-# k=2 value takes 288 KB.
+# formula memos, the PL truth tables and the constant instances' world masks.
+# Past it their memos are emptied together after the walk.  On a 512-set
+# algebra of 9 cells a k=1 value takes 576 bytes, and a k=1, size <= 6
+# fragment is charged 0.8 MB in all (2.35 MB for both directions); a k=2
+# value takes 288 KB.
 _POOL_BYTES = 1 << 24
 
-# Bytes charged for one memo or modal-memo entry besides its value: its
-# dict slot, key and reference, estimated.
+# Bytes charged for one memo entry besides its value: its dict slot, key and
+# reference, estimated.
 _ENTRY_BYTES = 100
 
 
 class _Table:
     """Values of formulas on one carrier, memoised across queries: the
     letters' values, ⊤ (full), box and dia, the memo of the formulas
-    evaluated so far, an optional memo of modal results that box and dia
-    fill, and the bytes charged for an entry of either memo.
+    evaluated so far, and the bytes charged for a memo entry.  Those entries
+    and the letters' values are all the context charges: the sweep's modal
+    results live in theories' block engine, which bounds its own memos.
 
     A context's tables, by key:
     * ("sweep", letters): the exact sweep's values (_sweep_table);
@@ -395,15 +399,13 @@ class _Table:
     * ("top", letters): world masks with those letters sent to ⊤ and the
       others to ⊥; ("top", ()) serves closed formulas."""
 
-    def __init__(self, ctx: "_MlContext", atoms: dict, full: int, box, dia,
-                 entry: int, modal: dict | None = None):
+    def __init__(self, ctx: "_MlContext", atoms: dict, full: int, box, dia, entry: int):
         self.ctx = ctx
         self.atoms = atoms
         self.full = full
         self.box = box
         self.dia = dia
         self.memo: dict[Formula, int] = {}
-        self.modal = modal
         self.entry = entry
         # The letters' values and ⊤, kept until the table is dropped.
         self.base = (len(atoms) + 1) * entry
@@ -420,64 +422,45 @@ class _Table:
 
 
 def _sweep_table(ctx: "_MlContext", letters: tuple[str, ...]) -> _Table:
-    """The exact sweep's table for one letter list.
+    """The exact sweep's table for one letter list: a theories block of a^k
+    models of the quotient frame, one world per cell, the point's cell first.
 
-    A value is one int of q slices, one per cell, each a^k bits wide, the
-    point's cell in the lowest: bit i of slice c says that assignment i's
-    value contains cell c.  So ^ & | are the int operators, and the first
-    assignment failing at the point is the lowest clear bit of the lowest
-    slice.  Assignments are numbered with the first letter most significant,
-    members in the algebra's order, which lists them by ascending world mask.
+    A value is one int of q slices, one per cell, each a^k bits wide: bit j
+    of slice s says that assignment j's value contains the slice's cell.  So
+    ^ & | are the int operators, and the first assignment failing at the
+    point is the lowest clear bit of the lowest slice.  Assignments are
+    numbered with the first letter most significant, q bits per letter:
+    member x is the union of the cells at the set bits of x (the algebra's
+    order), so letter i's slice of cell c is an index column.
 
-    Diamond of a slice is the OR of the slices of its cell's successor cells
-    (the cells are two-way bisimulation classes, so every world of a cell has
-    the same successor cells); results are memoised on direction and value."""
+    The cells are two-way bisimulation classes, so every world of a cell has
+    the same successor cells: diamond is that of the quotient frame's block
+    engine (theories._modal), memoised there, and box is the complement of
+    the diamond of the complement, so both share that memo."""
     m = ctx.model
-    a, k = len(ctx.algebra), len(letters)
-    cells = sorted(ctx.algebra.cells, key=lambda cell: not cell >> m.point & 1)
-    w = a ** k
-    low = (1 << w) - 1
-    full = (1 << len(cells) * w) - 1
-    members = ctx.algebra.masks()[::-1]
-    atoms = {}
-    for i, letter in enumerate(letters):
-        run = a ** (k - 1 - i)     # assignments in a row giving letter i one member
-        ones, zeros = "1" * run, "0" * run
-        value = 0
-        for cell in reversed(cells):
-            block = int("".join(ones if x & cell else zeros for x in members), 2)
-            span = a * run
-            while span < w:     # a is a power of 2, so doubling fills w
-                block |= block << span
-                span *= 2
-            value = value << w | block
-        atoms[letter] = value
-    succ = {d: [[s for s, other in enumerate(cells)
-                 if m.frame.masks(d)[(cell & -cell).bit_length() - 1] & other]
-                for cell in cells] for d in (UP, DOWN)}
-    modal: dict[tuple[bool, int], int] = {}
-    # Bytes charged per stored value: at most q a^k bits, and its entry.
-    entry = _ENTRY_BYTES + full.bit_length() // 8
+    cells = ctx.algebra.cells
+    q, k = len(cells), len(letters)
+    w = len(ctx.algebra) ** k
+    order = sorted(range(q), key=lambda c: not cells[c] >> m.point & 1)
+    full = (1 << q * w) - 1
+    atoms = {letter: sum(_index_column(q * (k - 1 - i) + c, w) << s * w
+                         for s, c in enumerate(order))
+             for i, letter in enumerate(letters)}
+    # Row s of the quotient frame: the slices of the cells that a world of
+    # cell order[s] sees.
+    reps = [(cells[c] & -cells[c]).bit_length() - 1 for c in order]
+    up, down = (_modal(tuple(sum(1 << s for s, c in enumerate(order) if succ[r] & cells[c])
+                             for r in reps), w)[1]
+                for succ in (m.frame.up_masks, m.frame.down_masks))
 
     def dia(dir: Direction, x: int) -> int:
-        key = (dir is UP, x)    # a bool hashes faster than an Enum
-        out = modal.get(key)
-        if out is None:
-            slices = [x >> s * w & low for s in range(len(cells))]
-            out = 0
-            for succs in reversed(succ[dir]):
-                part = 0
-                for s in succs:
-                    part |= slices[s]
-                out = out << w | part
-            modal[key] = out
-            ctx.held += entry
-        return out
+        return up[x] if dir is UP else down[x]
 
     def box(dir: Direction, x: int) -> int:
         return full ^ dia(dir, full ^ x)
 
-    return _Table(ctx, atoms, full, box, dia, entry, modal)
+    # Bytes charged per stored value: at most q a^k bits, and its entry.
+    return _Table(ctx, atoms, full, box, dia, _ENTRY_BYTES + full.bit_length() // 8)
 
 
 def _keep(dir: Direction, x: int) -> int:
@@ -562,8 +545,6 @@ class _MlContext:
             self.held = 0
             for table in self.tables.values():
                 table.memo.clear()
-                if table.modal is not None:
-                    table.modal.clear()
                 self.held += table.base
             if self.held > _POOL_BYTES:
                 self.tables.clear()

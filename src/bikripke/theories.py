@@ -24,7 +24,9 @@ Every decider compiles the formula once to a node list and runs it with
 _run.  The PL truth table, the S5 colour sweep and the countermodel search
 run a block of up to _BLOCK models of one n-world frame per _run, as n
 slices with one bit per model; the type space runs int columns over its
-rows, one bit per type.
+rows, one bit per type.  The block engine (_index_column, _modal) also
+serves semantics' exact sweep, whose block is the a^k assignments of
+definable sets on the quotient frame by bisimulation cells.
 
 Every verdict goes through one bounded verdict store keyed by the oriented
 formula, so a DOWN formula and its UP twin share one record.  A record holds
@@ -95,10 +97,6 @@ class Verdict:
     @property
     def is_unknown(self) -> bool:
         return self.status == UNKNOWN
-
-    @property
-    def world(self) -> Optional[int]:
-        return self.countermodel.point if self.countermodel else None
 
 
 def axioms(t: Theory, dir: Direction = UP) -> list[Formula]:

@@ -122,6 +122,17 @@ class TestConstructors:
         with pytest.raises(OverlappingIndexSets):
             powerset_frame([0], [[0, 1]], [0])
 
+    @pytest.mark.parametrize("build", [
+        lambda: PointedModel(single_point(), {"X": 1}, 0),
+        lambda: PointedModel(single_point(), {"true": 1}, 0),
+        lambda: powerset_frame([-1], [], []),     # letter b-1
+    ], ids=["upper", "keyword", "negative-button"])
+    def test_valuation_keys_are_letters(self, build):
+        # Every later Atom(letter), as in the control and probe searches,
+        # would raise; the constructor refuses the key as Atom does.
+        with pytest.raises(ValueError, match="bad letter identifier"):
+            build()
+
     def test_powerset_down_cone_is_subset_lattice(self):
         # The down-cone of the point, ordered by up, is the subset lattice
         # of the point (tested for point sizes <= 4).

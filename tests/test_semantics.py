@@ -339,24 +339,31 @@ class TestCellTables:
 
     def test_sweep_same_as_world_level_loop(self):
         # The old world-level sweep: letters range over algebra members as
-        # world masks, and box is the per-world loop.
+        # world masks, assignments numbered with the first letter most
+        # significant, and box is the per-world loop.
         m = combo_frame("cluster_below_bs", 2, 2, 1)
         algebra = definable_algebra(m)
+        a = len(algebra)
         full = np.uint64((1 << m.frame.n) - 1)
         vec = np.array(algebra.masks(), dtype=np.uint64)
+        columns = {1: [vec], 2: [np.repeat(vec, a), np.tile(vec, a)]}
         box = lambda d, x: box_vector(m.frame.masks(d), x)
         dia = lambda d, x: full ^ box(d, full ^ x)
-        frag = ml_fragment(m, 1, 5, {UP, DOWN})
-        for f in frag.formulas:
-            if not letters(f):
-                continue
-            (letter,) = letters(f)
-            res = semantics._evaluate(f, {letter: vec}, full, box, dia)
-            ok = (res >> np.uint64(m.point)) & np.uint64(1)
-            out = ml_status(m, f)
-            assert (out.status, out.how) == (bool(ok.all()), "exact sweep"), f
-            if not ok.all():
-                assert out.witness == {letter: algebra.sets[int(np.argmin(ok))]}, f
+        memos = {}
+        for k, size in ((1, 5), (2, 4)):
+            for f in ml_fragment(m, k, size, {UP, DOWN}).formulas:
+                ls = tuple(sorted(letters(f)))
+                if not ls:
+                    continue
+                res = semantics._evaluate(f, dict(zip(ls, columns[len(ls)])), full, box, dia,
+                                          memos.setdefault(ls, {}))
+                ok = (res >> np.uint64(m.point)) & np.uint64(1)
+                out = ml_status(m, f)
+                assert (out.status, out.how) == (bool(ok.all()), "exact sweep"), f
+                if not ok.all():
+                    bad = int(np.argmin(ok))
+                    digits = divmod(bad, a) if len(ls) == 2 else (bad,)
+                    assert out.witness == {l: algebra.sets[x] for l, x in zip(ls, digits)}, f
 
 
 class TestQuotientSweep:
@@ -512,6 +519,17 @@ class TestSweepPool:
         # Without the cap a larger fragment keeps more than the bound.
         monkeypatch.setattr(semantics, "_POOL_BYTES", 1 << 40)
         assert retained(5)[0] > bound
+
+    def test_pool_charges_exactly_its_memos(self, monkeypatch):
+        # Uncapped, nothing is emptied, so held is the sum of the tables'
+        # charges: their letter values and ⊤, and one entry per memo value.
+        monkeypatch.setattr(semantics, "_POOL_BYTES", 1 << 40)
+        m = combo_frame("cluster_below_bs", 2, 2, 1)
+        ml_fragment(m, 2, 4, {UP, DOWN})
+        ctx = semantics._ml_context(m)
+        assert ("sweep", ("p0", "p1")) in ctx.tables
+        assert ctx.held == sum(table.base + len(table.memo) * table.entry
+                               for table in ctx.tables.values())
 
     def test_emptying_keeps_the_letter_values(self, monkeypatch):
         # The k=2, size <= 5 fragment passes the default cap several times.
