@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import (ALGEBRA_BUDGET, ASSIGNMENT_BUDGET, SEARCH_BUDGET, BadWorldIndex,
                      BudgetExceeded, InsufficientControls, VerificationFailed,
@@ -261,12 +261,19 @@ class DefinableAlgebra:
 def bisimulation_cells(m: PointedModel, letters: Iterable[str] | None = None) -> list[int]:
     """Coarsest partition of the worlds stable under letter profiles and
     one-step reachability in both directions; cells as ascending masks."""
-    n = m.frame.n
     gens = sorted(letters) if letters is not None else m.letters()
+    return _cells(m, gens, m.frame.n)
+
+
+def _cells(m: PointedModel, gens: Sequence[str], most: int) -> list[int] | None:
+    """bisimulation_cells for the sorted letters gens, or None as soon as
+    there are more than `most` cells: refinement only splits cells, so their
+    count never falls."""
+    n = m.frame.n
     profile = [tuple((m.valuation.get(l, 0) >> w) & 1 for l in gens) for w in range(n)]
     ids: dict[tuple, int] = {}
     cell = [ids.setdefault(profile[w], len(ids)) for w in range(n)]
-    while True:
+    while len(ids) <= most:
         sigs: dict[tuple, int] = {}
         new_cell = []
         for w in range(n):
@@ -275,30 +282,32 @@ def bisimulation_cells(m: PointedModel, letters: Iterable[str] | None = None) ->
             sig = (cell[w], up_seen, down_seen)
             new_cell.append(sigs.setdefault(sig, len(sigs)))
         if new_cell == cell:
-            break
-        cell = new_cell
-    masks: dict[int, int] = {}
-    for w, c in enumerate(cell):
-        masks[c] = masks.get(c, 0) | (1 << w)
-    return sorted(masks.values())
+            masks: dict[int, int] = {}
+            for w, c in enumerate(cell):
+                masks[c] = masks.get(c, 0) | (1 << w)
+            return sorted(masks.values())
+        cell, ids = new_cell, sigs
+    return None
 
 
 def definable_algebra(m: PointedModel, letters: Iterable[str] | None = None,
                       budget: int = ALGEBRA_BUDGET) -> DefinableAlgebra:
     """Least family containing the generators, closed under complement,
     intersection and both box preimages.  Raises BudgetExceeded when the
-    closure has more than `budget` sets.
+    closure has more than `budget` sets, as soon as the cell refinement
+    passes that many.
 
     Set j is the union of the cells at the set bits of j.  The cells are
     disjoint and ascending, so cell i's highest world lies above every world
     of the cells before it, and the sets already ascend by mask: the exact
     sweep's index columns and its witnesses sets[j] rely on this order."""
     gens = tuple(sorted(letters)) if letters is not None else tuple(m.letters())
-    cells = bisimulation_cells(m, gens)
-    q = len(cells)
-    if q > 60 or (1 << q) > budget:
+    # q cells make 2^q sets: past the budget once q > most.
+    most = min(60, budget.bit_length() - 1)
+    cells = _cells(m, gens, most)
+    if cells is None:
         raise BudgetExceeded(
-            f"definable algebra has 2^{q} sets, budget is {budget}")
+            f"definable algebra has more than 2^{most} sets, budget is {budget}")
     n = m.frame.n
     return DefinableAlgebra(m, gens, tuple(cells),
                             tuple(WorldSet(n, mk) for mk in _union_table(cells)))

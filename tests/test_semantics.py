@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -134,6 +135,17 @@ class TestDefinableAlgebra:
         m = powerset_frame([0, 1], [[2, 3, 4], [5, 6, 7]], range(8))
         with pytest.raises(BudgetExceeded):
             definable_algebra(m)
+
+    def test_over_budget_stops_refining(self):
+        # 256 cells from the letters alone are past 2^16 sets before the
+        # first refinement round, which visits all 4,096^2 edges.
+        n = 4096
+        val = {f"p{i}": sum(1 << w for w in range(n) if w >> i & 1) for i in range(8)}
+        m = PointedModel(cluster(n), val, 0)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=r"more than 2\^16 sets"):
+            definable_algebra(m)
+        assert time.perf_counter() - start < 1.0
 
     def test_contains_generators_and_bounds(self, rng):
         for _ in range(10):

@@ -498,6 +498,25 @@ class TestCanonicalCountermodels:
             if v.is_invalid:
                 assert dumps(v.countermodel) == dumps(reference_countermodel(t, f)), f
 
+    @pytest.mark.parametrize("t", [S4, S4_2])
+    @pytest.mark.parametrize("text, want", [
+        ("[u]p0 -> [u]p1",
+         "frame f\nworlds 1\nup 0 0\npoint 0\nval p0 0\nval p1\nend\n"),
+        ("p0 & p1 & p2 -> <u>~p0",
+         "frame f\nworlds 1\nup 0 0\npoint 0\nval p0 0\nval p1 0\nval p2 0\nend\n"),
+        ("[d](p1 | q) <-> <d>p0",
+         "frame f\nworlds 1\nup 0 0\npoint 0\nval p0 0\nval p1\nval q\nend\n"),
+    ])
+    def test_pl_refutations_need_no_type_space_or_search(self, t, text, want,
+                                                         empty_store, monkeypatch):
+        # The first failing PL assignment is the search's first model, on
+        # the one-world frame the search names.
+        def unused(*args):
+            raise AssertionError("a PL refutation settles S4 and S4.2")
+        monkeypatch.setattr(theories, "_type_space", unused)
+        monkeypatch.setattr(theories, "_search_countermodel", unused)
+        assert dumps(decide(t, parse(text)).countermodel) == want
+
 
 class TestResourceBounds:
     def test_s5_first_subset_allocates_no_colour_pool(self):
@@ -553,6 +572,15 @@ class TestResourceBounds:
             tracemalloc.stop()
         assert not s4_valid and s42_invalid
         assert peak < 8 << 20
+
+    @pytest.mark.parametrize("t", [S4, S4_2])
+    def test_pl_refutation_past_the_budget_stays_unknown(self, t, empty_store):
+        # The only failing assignment is the 16th: the PL step gives up at
+        # 10, and the search, starting at one world, runs out there too.
+        f = parse("~(p0 & p1 & p2 & p3)")
+        v = decide(t, f, budget=10)
+        assert v.is_unknown and "10 models" in v.reason
+        assert decide(t, f, budget=16).countermodel.frame.n == 1
 
     def test_pl_truth_table_stops_at_the_budget(self, empty_store):
         # PL-valid, so the table would visit all 16 assignments.
@@ -690,6 +718,10 @@ class TestTypeSpaceReference:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32))
+    @example(22)        # width 12, rows not re-indexed: invalid
+    @example(56)        # width 12: valid
+    @example(4)         # width 13, rows re-indexed: invalid
+    @example(146)       # width 13: valid
     @example(46)        # width 15, S4- and S4.2-invalid
     @example(1818)      # width 15, S4- and S4.2-valid
     def test_random_three_letter_formulas_of_width_8_to_16(self, seed):
@@ -815,6 +847,21 @@ class TestBlocksAgainstReference:
         # The searches with a budget small enough for the reference loop.
         for f in itertools.islice(enumerate_formulas(2, 5, {UP}), 0, None, 5):
             assert block_answers(f, 300)[2:] == ref_answers(f, 300)[2:], f
+
+    def test_search_counts_a_pl_valid_formulas_one_world_models(self):
+        # One letter: 2 one-world models, then 4 valuations per 2-world
+        # frame, so the budgets cut the search at every model up to 40.
+        for f in enumerate_formulas(1, 4, {UP}):
+            compiled = theories._compile(f)
+            if not theories._pl_verdict(compiled, False).is_valid:
+                continue
+            for budget in range(1, 41):
+                for directed in (False, True):
+                    got, got_spent = theories._search_countermodel(
+                        compiled, directed, budget, True)
+                    want, want_spent = theories._search_countermodel(
+                        compiled, directed, budget)
+                    assert (_dumped(got), got_spent) == (_dumped(want), want_spent), f
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32), st.sampled_from([3, 4]), st.integers(1, 7000))
