@@ -55,8 +55,7 @@ from .theories import PL, S4, S4_2, S5, Theory, classify, decide, is_valid
 from .controls import (
     HORIZON_LADDER,
     ControlFamily,
-    _find_certificate,
-    find_family,
+    _first_certificate,
     is_button,
     is_pushed,
 )
@@ -204,15 +203,13 @@ def _controls_block(rep: Report, m: PointedModel, direction: Direction,
                     buttons: int, switches: int,
                     horizons=HORIZON_LADDER) -> Optional[ControlFamily]:
     """The first family found at the horizons in turn, as report lines."""
-    for horizon in horizons:
-        fam = find_family(m, m.point, direction, buttons, switches, horizon=horizon)
-        if fam is not None:
-            break
+    cert = _first_certificate(m, m.point, direction, ((buttons, switches),), horizons)
     # Lines land inside the current direction= block of the report.
-    if fam is None:
+    if cert is None:
         rep.add("controls.buttons", "none")
         rep.add("controls.switches", "none")
         return None
+    fam = cert.family
     rep.add("controls.buttons",
             ";".join(print_formula(b) for b in fam.buttons) or "-")
     rep.add("controls.switches",
@@ -444,10 +441,16 @@ def _cmd_decide(args) -> int:
     return 2
 
 
-def _cmd_check(args) -> int:
-    model = load(args.frame)
+def _load_model(path: str) -> PointedModel:
+    """The model saved at path; a bare frame is a usage error."""
+    model = load(path)
     if isinstance(model, Frame):
-        raise _UsageError(f"{args.frame} has no designated point")
+        raise _UsageError(f"{path} has no designated point")
+    return model
+
+
+def _cmd_check(args) -> int:
+    model = _load_model(args.frame)
     f = parse(args.formula)
     ok = holds_at(model, model.point, f)
     sys.stdout.write("holds\n" if ok else "fails\n")
@@ -455,9 +458,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_ml(args) -> int:
-    model = load(args.frame)
-    if isinstance(model, Frame):
-        raise _UsageError(f"{args.frame} has no designated point")
+    model = _load_model(args.frame)
     dirs = [UP, DOWN] if args.direction == "both" else [_DIRS[args.direction]]
     rep = Report()
     rep.add("frame", model.frame.name)
@@ -469,12 +470,9 @@ def _cmd_ml(args) -> int:
 
 
 def _cmd_controls(args) -> int:
-    model = load(args.frame)
-    if isinstance(model, Frame):
-        raise _UsageError(f"{args.frame} has no designated point")
-    d = _DIRS[args.direction]
-    cert = _find_certificate(model, model.point, d, args.buttons, args.switches,
-                             horizon=args.horizon)
+    model = _load_model(args.frame)
+    cert = _first_certificate(model, model.point, _DIRS[args.direction],
+                              ((args.buttons, args.switches),), (args.horizon,))
     if cert is None:
         sys.stdout.write("none\n")
         return 0

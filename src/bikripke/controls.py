@@ -15,12 +15,18 @@ of the point, and the horizon is recorded.  A horizon of None is the strict
 reading.  Every substitution produced from a certificate is verified by a
 direct model check before it is returned, so a truncated certificate can
 never smuggle in an unsound refutation.
+
+The candidates' masks, the horizon scopes and the ladder's certificates are
+kept per direction in the model's context, in a _ControlMasks that keeps the
+frame and valuation, and a kept family's base is a fresh model on them: none
+of it refers back to the model or to its context.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Optional, Union
 
 from .errors import BudgetExceeded, InsufficientControls, VerificationFailed
@@ -42,7 +48,7 @@ from .formula import (
     substitute,
 )
 from .frame import Frame, PointedModel, WorldSet, _squash
-from .semantics import _box_mask, _dia_mask, _ml_context, eval_mask, holds_at
+from .semantics import _box_mask, _dia_mask, _evaluate, _ml_context, eval_mask, holds_at
 
 
 def is_button(m: PointedModel, w: int, f: Formula, dir: Direction) -> bool:
@@ -100,20 +106,19 @@ class IndependenceCertificate:
     table: dict[int, dict[tuple[int, int], int]] = field(default_factory=dict)
 
 
-def _cover_depths(m: PointedModel, w: int, dir: Direction) -> dict[int, int]:
+def _cover_depths(frame: Frame, w: int, dir: Direction) -> dict[int, int]:
     """BFS depth from w of every world it reaches over the cover (transitive
     reduction) edges of the direction's relation."""
-    n = m.frame.n
-    succ = m.frame.masks(dir)
-    pred = m.frame.masks(dir.converse)
-    cone = m.frame.cone_mask(w, dir)
+    succ = frame.masks(dir)
+    pred = frame.masks(dir.converse)
+    cone = frame.cone_mask(w, dir)
     depth = {w: 0}
     frontier = [w]
     while frontier:
         nxt = []
         for u in frontier:
             row = succ[u] & cone & ~(1 << u)
-            for v in WorldSet(n, row):
+            for v in WorldSet(frame.n, row):
                 if v in depth:
                     continue
                 mid = succ[u] & pred[v] & ~(1 << u) & ~(1 << v)
@@ -125,42 +130,65 @@ def _cover_depths(m: PointedModel, w: int, dir: Direction) -> dict[int, int]:
     return depth
 
 
+_COMPOUND_SIZE = 3
+_CANDIDATES = 48
+# Family shapes (buttons, switches) the certified route tries in turn.
+_SHAPES = ((2, 2), (2, 1), (1, 2), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1))
+
+
 class _ControlMasks:
     """World masks of control formulas on one model along one direction.
 
     For a formula c they are: where c is a button ([d]<d>[d]c), where it is
     pushed ([d]c), where it is a switch (<d>c & <d>~c), and where it holds.
     None of them depends on the point, so each is computed once and shared
-    by every family search and certificate check on the model; the object
-    lives in the model's _ml_context, with the candidate lists and the
-    horizon scopes."""
+    by every family search and certificate check at any world of the model,
+    as are the candidate list, the horizon scopes and the ladder's
+    certificates (_first_certificate)."""
 
-    def __init__(self, m: PointedModel, dir: Direction):
-        self.model = m
+    def __init__(self, frame: Frame, valuation: dict[str, int], dir: Direction):
+        self.frame = frame
+        self.valuation = valuation
         self.dir = dir
         self._masks: dict[Formula, tuple[int, int, int, int]] = {}
-        self._candidates: dict[int, list[Formula]] = {}
         self._scopes: dict[tuple[int, Optional[int]], tuple[list[int], int]] = {}
+        self.ladders: dict[tuple, Optional[IndependenceCertificate]] = {}
 
     def of(self, c: Formula) -> tuple[int, int, int, int]:
         """(button, pushed, switch, truth) masks of c."""
         hit = self._masks.get(c)
         if hit is None:
-            frame, d = self.model.frame, self.dir
+            frame, d = self.frame, self.dir
             full = (1 << frame.n) - 1
-            truth = eval_mask(self.model, c)
+            truth = _evaluate(c, self.valuation, full, partial(_box_mask, frame),
+                              partial(_dia_mask, frame))
             pushed = _box_mask(frame, d, truth)
             button = _box_mask(frame, d, _dia_mask(frame, d, pushed))
             switch = _dia_mask(frame, d, truth) & _dia_mask(frame, d, full ^ truth)
             hit = self._masks[c] = (button, pushed, switch, truth)
         return hit
 
-    def candidates(self, compound_size: int) -> list[Formula]:
-        hit = self._candidates.get(compound_size)
-        if hit is None:
-            hit = self._candidates[compound_size] = _candidates(
-                self.model, self.dir, compound_size)
-        return hit
+    @cached_property
+    def candidates(self) -> list[Formula]:
+        """Deterministic candidate stream: valuation letters first, then
+        compound shapes from the canonical enumeration up to _COMPOUND_SIZE
+        instantiated over the letters, at most _CANDIDATES in all."""
+        letters = sorted(self.valuation)
+        out: list[Formula] = [Atom(l) for l in letters]
+        seen = set(out)
+        for shape in enumerate_formulas(1, _COMPOUND_SIZE, {self.dir}):
+            if len(out) >= _CANDIDATES:
+                break
+            if "p0" not in formula_letters(shape):
+                continue
+            for l in letters:
+                cand = substitute(shape, {"p0": Atom(l)})
+                if cand not in seen:
+                    seen.add(cand)
+                    out.append(cand)
+                if len(out) >= _CANDIDATES:
+                    break
+        return out
 
     def scope(self, w: int, horizon: Optional[int]) -> tuple[list[int], int]:
         """The worlds a certificate at w checks, ascending, and their mask:
@@ -169,10 +197,9 @@ class _ControlMasks:
         hit = self._scopes.get(key)
         if hit is None:
             if horizon is None:
-                worlds = sorted(WorldSet(self.model.frame.n,
-                                         self.model.frame.cone_mask(w, self.dir)))
+                worlds = sorted(WorldSet(self.frame.n, self.frame.cone_mask(w, self.dir)))
             else:
-                depths = _cover_depths(self.model, w, self.dir)
+                depths = _cover_depths(self.frame, w, self.dir)
                 worlds = sorted(u for u, d in depths.items() if d <= horizon)
             hit = self._scopes[key] = (worlds, sum(1 << u for u in worlds))
         return hit
@@ -182,7 +209,7 @@ def _control_masks(m: PointedModel, dir: Direction) -> _ControlMasks:
     cache = _ml_context(m).control_masks
     masks = cache.get(dir)
     if masks is None:
-        masks = cache[dir] = _ControlMasks(m, dir)
+        masks = cache[dir] = _ControlMasks(m.frame, m.valuation, dir)
     return masks
 
 
@@ -191,10 +218,14 @@ def check_independent(m: PointedModel, family: ControlFamily,
                       ) -> Union[IndependenceCertificate, FailureWitness]:
     """Exhaustively verify the control conditions and the witness table over
     the reachable cone (restricted to the horizon when one is given)."""
-    frame = m.frame
+    return _check(_control_masks(m, family.direction), m.point, family, horizon)
+
+
+def _check(masks: _ControlMasks, point: int, family: ControlFamily,
+           horizon: Optional[int]) -> Union[IndependenceCertificate, FailureWitness]:
+    """check_independent at the world point, on the model's masks."""
+    frame = masks.frame
     dir = family.direction
-    point = m.point
-    masks = _control_masks(m, dir)
     scope, scope_mask = masks.scope(point, horizon)
     nb = len(family.buttons)
     ns = len(family.switches)
@@ -255,50 +286,25 @@ def check_independent(m: PointedModel, family: ControlFamily,
 # Family search
 # ---------------------------------------------------------------------------
 
-def _candidates(m: PointedModel, dir: Direction, compound_size: int = 3,
-                cap: int = 48) -> list[Formula]:
-    """Deterministic candidate stream: valuation letters first, then compound
-    shapes from the canonical enumeration instantiated over the letters."""
-    out: list[Formula] = [Atom(l) for l in m.letters()]
-    seen = set(out)
-    if compound_size >= 2:
-        for shape in enumerate_formulas(1, compound_size, {dir}):
-            if len(out) >= cap:
-                break
-            if "p0" not in formula_letters(shape):
-                continue
-            for l in m.letters():
-                cand = substitute(shape, {"p0": Atom(l)})
-                if cand not in seen:
-                    seen.add(cand)
-                    out.append(cand)
-                if len(out) >= cap:
-                    break
-    return out
-
-
 def find_family(m: PointedModel, w: int, dir: Direction,
                 m_count: int, n_count: int,
-                horizon: Optional[int] = None,
-                compound_size: int = 3) -> Optional[ControlFamily]:
-    """First certified-independent family of the requested shape, searching
-    valuation letters first and then small compounds in canonical order."""
-    cert = _find_certificate(m, w, dir, m_count, n_count, horizon, compound_size)
+                horizon: Optional[int] = None) -> Optional[ControlFamily]:
+    """First certified-independent family of the requested shape at world w,
+    searching valuation letters first and then small compounds in canonical
+    order.  Its base is the model pointed at w."""
+    cert = _find_certificate(_control_masks(m, dir), w, m_count, n_count, horizon)
     return cert.family if cert is not None else None
 
 
-def _find_certificate(m: PointedModel, w: int, dir: Direction,
-                      m_count: int, n_count: int,
-                      horizon: Optional[int] = None,
-                      compound_size: int = 3) -> Optional[IndependenceCertificate]:
-    """find_family's search, returning the certificate of the family found."""
-    base = PointedModel(m.frame, m.valuation, w) if w != m.point else m
-    masks = _control_masks(base, dir)
+def _find_certificate(masks: _ControlMasks, w: int, m_count: int, n_count: int,
+                      horizon: Optional[int]) -> Optional[IndependenceCertificate]:
+    """find_family's search on the model's masks, returning the certificate
+    of the family found."""
     _, scope_mask = masks.scope(w, horizon)
-    cone = m.frame.cone_mask(w, dir)
+    cone = masks.frame.cone_mask(w, masks.dir)
     buttons: list[Formula] = []
     switches: list[Formula] = []
-    for c in masks.candidates(compound_size):
+    for c in masks.candidates:
         button, pushed, switch, _ = masks.of(c)
         if (button >> w) & 1 and not (pushed >> w) & 1:
             buttons.append(c)
@@ -306,6 +312,9 @@ def _find_certificate(m: PointedModel, w: int, dir: Direction,
             switches.append(c)
     if len(buttons) < m_count or len(switches) < n_count:
         return None
+    # A fresh model, so that a certificate kept in the masks holds no model
+    # whose context holds it.
+    base = PointedModel(masks.frame, masks.valuation, w)
     for bs in itertools.combinations(buttons[:10], m_count):
         # Two buttons whose pushed sets are nested in the cone can never be
         # pushed one without the other, which the table asks for at w.
@@ -314,11 +323,29 @@ def _find_certificate(m: PointedModel, w: int, dir: Direction,
                for a, b in itertools.combinations(pushed_sets, 2)):
             continue
         for ss in itertools.combinations(switches[:10], n_count):
-            fam = ControlFamily(dir, tuple(bs), tuple(ss), base, horizon)
-            cert = check_independent(base, fam, horizon)
+            fam = ControlFamily(masks.dir, tuple(bs), tuple(ss), base, horizon)
+            cert = _check(masks, w, fam, horizon)
             if isinstance(cert, IndependenceCertificate):
                 return cert
     return None
+
+
+def _first_certificate(m: PointedModel, w: int, dir: Direction,
+                       shapes: tuple[tuple[int, int], ...] = _SHAPES,
+                       horizons: tuple[Optional[int], ...] = HORIZON_LADDER
+                       ) -> Optional[IndependenceCertificate]:
+    """The certificate ladder: the first family found at world w over the
+    shapes in turn, each at the horizons in turn, with its certificate; None
+    when none certifies.  Every search reads the model's masks, and the
+    answer is kept there."""
+    masks = _control_masks(m, dir)
+    key = (w, shapes, horizons)
+    if key not in masks.ladders:
+        masks.ladders[key] = next(
+            (cert for shape in shapes for horizon in horizons
+             if (cert := _find_certificate(masks, w, *shape, horizon)) is not None),
+            None)
+    return masks.ladders[key]
 
 
 # ---------------------------------------------------------------------------

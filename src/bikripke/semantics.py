@@ -31,16 +31,23 @@ tables, and the world masks of closed formulas and of constant instances.  A
 table memoises the formulas evaluated so far, so a formula of the canonical
 enumeration, whose children were evaluated just before it, costs one
 operation.  All memos are emptied together when their bytes pass a fixed cap
-(_POOL_BYTES).  The control families' candidate masks are computed once per
-(model, direction) and kept in the context too.  Queries that no route
-resolves raise BudgetExceeded rather than guess.
+(_POOL_BYTES).  Queries that no route resolves raise BudgetExceeded rather
+than guess.
+
+A model's __dict__ holds its context (_MlContext), which owns the definable
+algebra, the point's cones, the value tables and the control masks with their
+certificates (controls._ControlMasks).  None of these refers back to the
+model or to the context, as the routes take the model as an argument, so
+reference counting alone frees them with the model.  A frame owns its
+diamond tables; the deciders' stores in theories are module-level.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (ALGEBRA_BUDGET, ASSIGNMENT_BUDGET, SEARCH_BUDGET, BadWorldIndex,
                      BudgetExceeded, InsufficientControls, VerificationFailed,
@@ -66,7 +73,7 @@ from .formula import (
     polarity,
     substitute,
 )
-from .frame import Frame, PointedModel, WorldSet, _reach
+from .frame import Frame, PointedModel, WorldSet, _image, _reach
 from .theories import S4, S4_2, S5, _index_column, _modal, decide
 
 
@@ -161,12 +168,9 @@ def _box_mask(frame: Frame, dir: Direction, x: int) -> int:
 def _dia_mask(frame: Frame, dir: Direction, y: int) -> int:
     """Worlds with a dir-successor in y."""
     tables = _dia_tables(frame, dir)
-    out = 0
     if tables is None:
-        for w, mask in enumerate(frame.masks(dir)):
-            if mask & y:
-                out |= 1 << w
-        return out
+        return _image(frame.masks(dir.converse), y)
+    out = 0
     for table, byte in zip(tables, y.to_bytes(len(tables), "little")):
         if byte:
             out |= table[byte]
@@ -246,7 +250,6 @@ class DefinableAlgebra:
     operations and the two box preimages, as unions of the model's two-way
     bisimulation cells; listed in ascending mask order."""
 
-    model: PointedModel
     letters: tuple[str, ...]
     cells: tuple[int, ...]
     sets: tuple[WorldSet, ...]
@@ -258,17 +261,11 @@ class DefinableAlgebra:
         return [s.mask for s in self.sets]
 
 
-def bisimulation_cells(m: PointedModel, letters: Iterable[str] | None = None) -> list[int]:
-    """Coarsest partition of the worlds stable under letter profiles and
-    one-step reachability in both directions; cells as ascending masks."""
-    gens = sorted(letters) if letters is not None else m.letters()
-    return _cells(m, gens, m.frame.n)
-
-
 def _cells(m: PointedModel, gens: Sequence[str], most: int) -> list[int] | None:
-    """bisimulation_cells for the sorted letters gens, or None as soon as
-    there are more than `most` cells: refinement only splits cells, so their
-    count never falls."""
+    """Coarsest partition of the worlds stable under the profiles of the
+    sorted letters gens and one-step reachability in both directions, cells
+    as ascending masks; or None as soon as there are more than `most` cells:
+    refinement only splits cells, so their count never falls."""
     n = m.frame.n
     profile = [tuple((m.valuation.get(l, 0) >> w) & 1 for l in gens) for w in range(n)]
     ids: dict[tuple, int] = {}
@@ -309,7 +306,7 @@ def definable_algebra(m: PointedModel, letters: Iterable[str] | None = None,
         raise BudgetExceeded(
             f"definable algebra has more than 2^{most} sets, budget is {budget}")
     n = m.frame.n
-    return DefinableAlgebra(m, gens, tuple(cells),
+    return DefinableAlgebra(gens, tuple(cells),
                             tuple(WorldSet(n, mk) for mk in _union_table(cells)))
 
 
@@ -343,10 +340,8 @@ class _DirInfo:
     simulable says its countermodels can be simulated through a control
     family, on a reflexive transitive frame of S5 or S4.2."""
 
-    def __init__(self, ctx: "_MlContext", dir: Direction):
-        self.ctx = ctx
+    def __init__(self, m: PointedModel, dir: Direction):
         self.dir = dir
-        m = ctx.model
         frame = m.frame
         props = frame.props
         rt = props.reflexive and props.transitive
@@ -364,20 +359,6 @@ class _DirInfo:
             self.theory = None
         self.simulable = rt and self.theory in (S5, S4_2)
 
-    @cached_property
-    def family_cert(self):
-        """Best certified control family at the point with its certificate,
-        searched on first use; None when no shape certifies.  Every search
-        of the ladder reads the candidates' masks computed once."""
-        from .controls import HORIZON_LADDER, _find_certificate
-        m = self.ctx.model
-        for shape in ((2, 2), (2, 1), (1, 2), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1)):
-            for horizon in HORIZON_LADDER:
-                cert = _find_certificate(m, m.point, self.dir, *shape, horizon=horizon)
-                if cert is not None:
-                    return cert
-        return None
-
 
 # Bytes a model's value tables may hold: the exact sweep's values with their
 # formula memos, the PL truth tables and the constant instances' world masks.
@@ -392,11 +373,12 @@ _POOL_BYTES = 1 << 24
 _ENTRY_BYTES = 100
 
 
+@dataclass
 class _Table:
-    """Values of formulas on one carrier, memoised across queries: the
-    letters' values, ⊤ (full), box and dia, the memo of the formulas
-    evaluated so far, and the bytes charged for a memo entry.  Those entries
-    and the letters' values are all the context charges: the sweep's modal
+    """Values of formulas on one carrier: the letters' values, ⊤ (full),
+    box and dia, the bytes charged for a memo entry, and the memo of the
+    formulas evaluated so far, filled by _MlContext.value.  Those entries and
+    the letters' values are all the context charges: the sweep's modal
     results live in theories' block engine, which bounds its own memos.
 
     A context's tables, by key:
@@ -408,29 +390,21 @@ class _Table:
     * ("top", letters): world masks with those letters sent to ⊤ and the
       others to ⊥; ("top", ()) serves closed formulas."""
 
-    def __init__(self, ctx: "_MlContext", atoms: dict, full: int, box, dia, entry: int):
-        self.ctx = ctx
-        self.atoms = atoms
-        self.full = full
-        self.box = box
-        self.dia = dia
-        self.memo: dict[Formula, int] = {}
-        self.entry = entry
-        # The letters' values and ⊤, kept until the table is dropped.
-        self.base = (len(atoms) + 1) * entry
-        ctx.held += self.base
+    atoms: dict
+    full: int
+    box: Callable[[Direction, int], int]
+    dia: Callable[[Direction, int], int]
+    entry: int
+    memo: dict[Formula, int] = field(default_factory=dict)
 
-    def value(self, f: Formula) -> int:
-        """f's value through the memo, charging its new entries."""
-        memo = self.memo
-        before = len(memo)
-        try:
-            return _evaluate(f, self.atoms, self.full, self.box, self.dia, memo)
-        finally:
-            self.ctx.spend((len(memo) - before) * self.entry)
+    @property
+    def base(self) -> int:
+        """Bytes of the letters' values and ⊤, kept as long as the table."""
+        return (len(self.atoms) + 1) * self.entry
 
 
-def _sweep_table(ctx: "_MlContext", letters: tuple[str, ...]) -> _Table:
+def _sweep_table(m: PointedModel, algebra: DefinableAlgebra,
+                 letters: tuple[str, ...]) -> _Table:
     """The exact sweep's table for one letter list: a theories block of a^k
     models of the quotient frame, one world per cell, the point's cell first.
 
@@ -446,10 +420,9 @@ def _sweep_table(ctx: "_MlContext", letters: tuple[str, ...]) -> _Table:
     the same successor cells: diamond is that of the quotient frame's block
     engine (theories._modal), memoised there, and box is the complement of
     the diamond of the complement, so both share that memo."""
-    m = ctx.model
-    cells = ctx.algebra.cells
+    cells = algebra.cells
     q, k = len(cells), len(letters)
-    w = len(ctx.algebra) ** k
+    w = len(algebra) ** k
     order = sorted(range(q), key=lambda c: not cells[c] >> m.point & 1)
     full = (1 << q * w) - 1
     atoms = {letter: sum(_index_column(q * (k - 1 - i) + c, w) << s * w
@@ -469,7 +442,7 @@ def _sweep_table(ctx: "_MlContext", letters: tuple[str, ...]) -> _Table:
         return full ^ dia(dir, full ^ x)
 
     # Bytes charged per stored value: at most q a^k bits, and its entry.
-    return _Table(ctx, atoms, full, box, dia, _ENTRY_BYTES + full.bit_length() // 8)
+    return _Table(atoms, full, box, dia, _ENTRY_BYTES + full.bit_length() // 8)
 
 
 def _keep(dir: Direction, x: int) -> int:
@@ -478,21 +451,22 @@ def _keep(dir: Direction, x: int) -> int:
 
 
 class _MlContext:
-    """Per-model cache: the definable algebra when affordable, the
-    per-direction certified reasoning machinery otherwise, the masks of
-    control formulas per direction (controls._ControlMasks), and the value
-    tables.
+    """Per-model memos: the definable algebra (None past its budget), the
+    point's cone per direction, the value tables, and the control masks per
+    direction (controls._ControlMasks).  It keeps the frame and valuation it
+    reads, and nothing in it refers back to the model or to the context.
 
     The tables persist across queries, so a formula of the canonical
     enumeration reuses the values of its subformulas, computed just before
-    it; each is built on first use, after its budget check.  held estimates
-    their bytes; past _POOL_BYTES every memo is emptied, once the walk that
-    passed it ends, so a walk never loses the memo of its own subformulas.
-    The tables keep their letter values, and go too only when those alone
-    pass it."""
+    it; each is built on first use, after its budget check, and kept by
+    file().  held estimates their bytes; past _POOL_BYTES every memo is
+    emptied, once the walk that passed it ends, so a walk never loses the
+    memo of its own subformulas.  The tables keep their letter values, and
+    go too only when those alone pass it."""
 
     def __init__(self, m: PointedModel):
-        self.model = m
+        self.frame = m.frame
+        self.valuation = m.valuation
         self._dirs: dict[Direction, _DirInfo] = {}
         self.tables: dict[tuple[str, tuple[str, ...]], _Table] = {}
         self.held = 0
@@ -500,15 +474,30 @@ class _MlContext:
 
     @cached_property
     def algebra(self) -> Optional[DefinableAlgebra]:
-        try:
-            return definable_algebra(self.model)
+        try:    # the algebra depends on the frame and valuation, not the point
+            return definable_algebra(PointedModel(self.frame, self.valuation, 0))
         except BudgetExceeded:
             return None
 
-    def dir_info(self, dir: Direction) -> _DirInfo:
+    def dir_info(self, m: PointedModel, dir: Direction) -> _DirInfo:
         if dir not in self._dirs:
-            self._dirs[dir] = _DirInfo(self, dir)
+            self._dirs[dir] = _DirInfo(m, dir)
         return self._dirs[dir]
+
+    def file(self, key: tuple[str, tuple[str, ...]], table: _Table) -> _Table:
+        """Keep table under key, charging its letters' values and ⊤."""
+        self.tables[key] = table
+        self.held += table.base
+        return table
+
+    def value(self, table: _Table, f: Formula) -> int:
+        """f's value through the table's memo, charging its new entries."""
+        memo = table.memo
+        before = len(memo)
+        try:
+            return _evaluate(f, table.atoms, table.full, table.box, table.dia, memo)
+        finally:
+            self.spend((len(memo) - before) * table.entry)
 
     def pl_failing(self, f: Formula, letters: tuple[str, ...],
                    dead_end: bool = False) -> int:
@@ -529,9 +518,8 @@ class _MlContext:
                 box, dia = (lambda dir, x: full), (lambda dir, x: 0)
             else:
                 box = dia = _keep
-            table = self.tables[key] = _Table(self, atoms, full, box, dia,
-                                              _ENTRY_BYTES + rows // 8)
-        return table.value(f) ^ table.full
+            table = self.file(key, _Table(atoms, full, box, dia, _ENTRY_BYTES + rows // 8))
+        return self.value(table, f) ^ table.full
 
     def constant_mask(self, f: Formula, top: tuple[str, ...] = ()) -> int:
         """World mask of f with the letters in top sent to ⊤ and the others
@@ -539,12 +527,12 @@ class _MlContext:
         key = ("top", top)
         table = self.tables.get(key)
         if table is None:
-            frame = self.model.frame
+            frame = self.frame
             full = (1 << frame.n) - 1
-            table = self.tables[key] = _Table(
-                self, dict.fromkeys(top, full), full, partial(_box_mask, frame),
-                partial(_dia_mask, frame), _ENTRY_BYTES + frame.n // 8)
-        return table.value(f)
+            table = self.file(key, _Table(
+                dict.fromkeys(top, full), full, partial(_box_mask, frame),
+                partial(_dia_mask, frame), _ENTRY_BYTES + frame.n // 8))
+        return self.value(table, f)
 
     def spend(self, nbytes: int) -> None:
         """Charge nbytes to the tables; past _POOL_BYTES empty their memos.
@@ -568,7 +556,8 @@ def _ml_context(m: PointedModel) -> _MlContext:
     return ctx
 
 
-def _sweep(ctx: _MlContext, f: Formula, letters: tuple[str, ...]) -> MlOutcome:
+def _sweep(ctx: _MlContext, m: PointedModel, f: Formula,
+           letters: tuple[str, ...]) -> MlOutcome:
     """Exact membership on the quotient by the algebra's cells: every letter
     ranges over the algebra's members as cell masks, all at once."""
     algebra = ctx.algebra
@@ -580,9 +569,9 @@ def _sweep(ctx: _MlContext, f: Formula, letters: tuple[str, ...]) -> MlOutcome:
         if a ** k > ASSIGNMENT_BUDGET:
             raise BudgetExceeded(
                 f"{a}^{k} assignments exceeds budget {ASSIGNMENT_BUDGET}")
-        table = ctx.tables[key] = _sweep_table(ctx, letters)
+        table = ctx.file(key, _sweep_table(m, algebra, letters))
     low = (1 << a ** k) - 1
-    miss = table.value(f) & low ^ low
+    miss = ctx.value(table, f) & low ^ low
     if not miss:
         return MlOutcome(True, how="exact sweep")
     bad = (miss & -miss).bit_length() - 1
@@ -591,31 +580,24 @@ def _sweep(ctx: _MlContext, f: Formula, letters: tuple[str, ...]) -> MlOutcome:
     return MlOutcome(False, witness=witness, how="exact sweep")
 
 
-def _singleton_env(m: PointedModel, letter: str) -> dict[str, int]:
-    env = dict(m.valuation)
-    env[letter] = 1 << m.point
-    return env
-
-
 def ml_status(m: PointedModel, f: Formula) -> MlOutcome:
     """Three-valued ml membership: quantifies letters(f) over the definable
     algebra, exactly when the algebra is within budget, otherwise by sound
     certified reasoning (class validity for membership, verified refuting
     substitutions for non-membership)."""
     try:
-        return _ml_status(_ml_context(m), f)
+        return _ml_status(_ml_context(m), m, f)
     except RecursionError:
         raise _too_deep() from None
 
 
-def _ml_status(ctx: _MlContext, f: Formula) -> MlOutcome:
-    m = ctx.model
+def _ml_status(ctx: _MlContext, m: PointedModel, f: Formula) -> MlOutcome:
     if not formula_letters(f):
         return MlOutcome(ctx.constant_mask(f) >> m.point & 1 == 1, how="closed formula")
     letters = tuple(sorted(formula_letters(f)))
     if ctx.algebra is not None:
         try:
-            return _sweep(ctx, f, letters)
+            return _sweep(ctx, m, f, letters)
         except BudgetExceeded:
             pass
 
@@ -623,14 +605,14 @@ def _ml_status(ctx: _MlContext, f: Formula) -> MlOutcome:
     # every set assignment iff it holds with p := {point}.
     if (len(letters) == 1 and isinstance(f, Imp) and isinstance(f.left, Atom)
             and f.left.name == letters[0] and _positive_only(f.right, letters[0])):
-        env = _singleton_env(m, letters[0])
+        env = {**m.valuation, letters[0]: 1 << m.point}
         if (eval_mask(m, f.right, env=env) >> m.point) & 1:
             return MlOutcome(True, how="monotone rule")
 
     # Truth of a d-monomodal formula at the point only involves the point's
     # d-cone, so validity over the cone's frame class settles membership.
     dirs = directions(f)
-    info = ctx.dir_info(next(iter(dirs), UP)) if len(dirs) <= 1 else None
+    info = ctx.dir_info(m, next(iter(dirs), UP)) if len(dirs) <= 1 else None
     if info is not None and info.cone_single:
         # One world: both point-bit values of every letter are realised by
         # algebra members (full and empty), and f's value at the point is its
@@ -640,7 +622,7 @@ def _ml_status(ctx: _MlContext, f: Formula) -> MlOutcome:
                          how="single-world cone")
     if m.frame.props.reflexive:
         # Reflexive up is reflexive down: the PL collapse of f decides.
-        out = _constant_refute(ctx, f, letters)
+        out = _constant_refute(ctx, m, f, letters)
         if out is not None:
             return out
     if info is not None and info.theory is not None:
@@ -649,15 +631,17 @@ def _ml_status(ctx: _MlContext, f: Formula) -> MlOutcome:
             return MlOutcome(True, how=_VALIDITY_HOW[info.theory])
         # Refutation: simulate the decider's countermodel through the
         # certified control family, verifying the substitution by model check.
-        if verdict.countermodel is not None and info.family_cert is not None:
-            from .controls import simulate_countermodel
-            try:
-                sigma = simulate_countermodel(info.family_cert, f, verdict.countermodel)
-                return MlOutcome(False, witness=sigma, how="simulated countermodel")
-            except (InsufficientControls, VerificationFailed):
-                pass
+        if verdict.countermodel is not None:
+            from .controls import _first_certificate, simulate_countermodel
+            cert = _first_certificate(m, m.point, info.dir)
+            if cert is not None:
+                try:
+                    sigma = simulate_countermodel(cert, f, verdict.countermodel)
+                    return MlOutcome(False, witness=sigma, how="simulated countermodel")
+                except (InsufficientControls, VerificationFailed):
+                    pass
     # Last resort: small probe substitutions in every direction.
-    out = _probe_refute(ctx, f, letters)
+    out = _probe_refute(m, f, letters)
     if out is not None:
         return out
     return MlOutcome(None, how="unresolved")
@@ -667,7 +651,7 @@ def _positive_only(g: Formula, p: str) -> bool:
     return polarity(g, p) == 1 or p not in formula_letters(g)
 
 
-def _constant_refute(ctx: _MlContext, f: Formula,
+def _constant_refute(ctx: _MlContext, m: PointedModel, f: Formula,
                      letters: tuple[str, ...]) -> Optional[MlOutcome]:
     """Refute a PL-invalid f on a reflexive frame by constant substitution.
 
@@ -683,15 +667,14 @@ def _constant_refute(ctx: _MlContext, f: Formula,
         return None
     a = (miss & -miss).bit_length() - 1
     top = tuple(l for i, l in enumerate(letters) if a >> i & 1)
-    if ctx.constant_mask(f, top) >> ctx.model.point & 1:
+    if ctx.constant_mask(f, top) >> m.point & 1:
         return None
     sigma = {l: Top() if a >> i & 1 else Bot() for i, l in enumerate(letters)}
     return MlOutcome(False, witness=sigma, how="constant substitution")
 
 
-def _probe_refute(ctx: _MlContext, f: Formula,
+def _probe_refute(m: PointedModel, f: Formula,
                   letters: tuple[str, ...]) -> Optional[MlOutcome]:
-    m = ctx.model
     probes: list[Formula] = []
     for l in m.letters()[:4]:
         a = Atom(l)
@@ -701,21 +684,12 @@ def _probe_refute(ctx: _MlContext, f: Formula,
     probes += [Top(), Bot()]
     if len(probes) ** len(letters) > 4096:
         probes = probes[: max(2, int(4096 ** (1 / len(letters))))]
-    idx = [0] * len(letters)
-    while True:
-        sigma = {letters[i]: probes[idx[i]] for i in range(len(letters))}
-        g = substitute(f, sigma)
-        if not (eval_mask(m, g) >> m.point) & 1:
+    # Every assignment of probes to the letters, the last letter fastest.
+    for choice in itertools.product(probes, repeat=len(letters)):
+        sigma = dict(zip(letters, choice))
+        if not (eval_mask(m, substitute(f, sigma)) >> m.point) & 1:
             return MlOutcome(False, witness=sigma, how="probe substitution")
-        pos = len(letters) - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < len(probes):
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return None
+    return None
 
 
 def ml_member(m: PointedModel, f: Formula) -> bool:

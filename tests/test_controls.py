@@ -36,9 +36,9 @@ from bikripke.frame import (
     combo_frame,
     powerset_frame,
 )
-from bikripke.controls import _candidates
+from bikripke.controls import _control_masks, _first_certificate
 from bikripke.formula import And
-from bikripke.semantics import _ml_context, eval_mask, holds_at
+from bikripke.semantics import eval_mask, holds_at
 from bikripke.theories import S4_2, S5, decide
 
 
@@ -332,7 +332,7 @@ def _ref_check_independent(m, family, horizon=None):
 
 
 def _ref_find_family(m, w, dir, m_count, n_count, horizon=None):
-    cands = _candidates(m, dir, 3)
+    cands = _control_masks(m, dir).candidates
     base = PointedModel(m.frame, m.valuation, w) if w != m.point else m
     scope = _ref_scope(base, dir, horizon)
     buttons = [c for c in cands
@@ -394,7 +394,7 @@ class TestSharedMaskSearch:
             if first is None:
                 first = want_cert
         # The certificate ml_status refutes with is the ladder's first one.
-        got_cert = _ml_context(m).dir_info(dir).family_cert
+        got_cert = _first_certificate(m, m.point, dir)
         assert (got_cert is None) == (first is None)
         if first is not None:
             assert _same_outcome(got_cert, first)
@@ -403,7 +403,7 @@ class TestSharedMaskSearch:
         # Every family of two buttons and one switch from the first candidates,
         # at every horizon: the same certificate or the same failure.
         m = thm4_model()
-        cands = _candidates(m, DOWN, 3)[:6]
+        cands = _control_masks(m, DOWN).candidates[:6]
         for horizon in (None, 1):
             for bs in itertools.combinations(cands, 2):
                 for s in cands:
@@ -421,3 +421,21 @@ class TestSharedMaskSearch:
                         assert (got is None) == (want is None), name
                         if want is not None:
                             assert _same_outcome(got, want), name
+
+    def test_searches_at_other_worlds_share_the_models_masks(self, monkeypatch):
+        # One set of masks per (model, direction), whatever world a search
+        # starts from; a family's base is the model pointed at that world.
+        from bikripke import controls
+        built = []
+        masks_class = controls._ControlMasks
+
+        def counted(*args):
+            built.append(args)
+            return masks_class(*args)
+
+        monkeypatch.setattr(controls, "_ControlMasks", counted)
+        m = thm4_model()
+        for w in (m.point, m.point - 1):
+            fam = find_family(m, w, DOWN, 1, 0, horizon=1)
+            assert fam is not None and fam.base == PointedModel(m.frame, m.valuation, w)
+        assert len(built) == 1

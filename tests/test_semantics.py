@@ -332,7 +332,7 @@ class TestCellTables:
         # p0 ranges over every member, so its value holds every cell set.
         ctx = semantics._MlContext(m)
         algebra = ctx.algebra
-        table = semantics._sweep_table(ctx, ("p0",))
+        table = semantics._sweep_table(m, algebra, ("p0",))
         cells = sorted(algebra.cells, key=lambda cell: not cell >> m.point & 1)
         w = len(algebra)
 
@@ -554,9 +554,9 @@ class TestSweepPool:
         builds = []
         build = semantics._sweep_table
 
-        def counted(ctx, letters):
+        def counted(m, algebra, letters):
             builds.append(letters)
-            return build(ctx, letters)
+            return build(m, algebra, letters)
 
         monkeypatch.setattr(semantics, "_sweep_table", counted)
         spends = []
@@ -651,7 +651,7 @@ class TestConstantSubstitution:
         assert out.status is True
 
 
-def reference_constant_refute(ctx, f, letters):
+def reference_constant_refute(ctx, m, f, letters):
     """The constant-substitution route as the deciders answer it: the
     canonical PL countermodel of f's UP twin from decide, then one eval_mask
     of f with its letters sent to full and empty sets."""
@@ -660,7 +660,6 @@ def reference_constant_refute(ctx, f, letters):
     v = decide(PL, _orient_to(f, UP))
     if v.is_valid:
         return None
-    m = ctx.model
     full = (1 << m.frame.n) - 1
     valuation = v.countermodel.valuation
     env = {l: full if x else 0 for l, x in valuation.items()}
@@ -710,7 +709,7 @@ class TestPlTables:
         f = parse(" & ".join(f"p{i}" for i in range(19)) + " -> p0")
         ctx = semantics._ml_context(m)
         assert ctx.algebra is None and m.frame.props.reflexive
-        ctx.dir_info(UP)
+        ctx.dir_info(m, UP)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded) as err:
@@ -760,13 +759,12 @@ class TestSingleWorldCone:
                 assert out.status == want.status, (f, out.how)
 
 
-def reference_family_cert(ctx, d):
+def reference_family_cert(ctx, m, d):
     """The certificate the old route simulated through: find_family's first
     family on the ladder, certified a second time by check_independent."""
     from bikripke.controls import check_independent, find_family
     certs = ctx.__dict__.setdefault("reference_certs", {})
     if d not in certs:
-        m = ctx.model
         certs[d] = None
         shapes = ((2, 2), (2, 1), (1, 2), (1, 1), (2, 0), (0, 2), (1, 0), (0, 1))
         for shape, horizon in itertools.product(shapes, (None, 2, 1, 0)):
@@ -777,13 +775,12 @@ def reference_family_cert(ctx, d):
     return certs[d]
 
 
-def reference_monomodal(ctx, f, ls, d):
+def reference_monomodal(ctx, m, f, ls, d):
     """The old monomodal branch: is_valid for S5, S4.2 and S4 in turn, then
     decide for the countermodel to simulate."""
     from bikripke.controls import simulate_countermodel
     from bikripke.errors import InsufficientControls, VerificationFailed
     from bikripke.theories import S4, S4_2, S5, decide, is_valid
-    m = ctx.model
     frame = m.frame
     props = frame.props
     rt = props.reflexive and props.transitive
@@ -794,7 +791,7 @@ def reference_monomodal(ctx, f, ls, d):
         return semantics.MlOutcome(not ctx.pl_failing(f, ls, not frame.masks(d)[m.point]),
                                    how="single-world cone")
     if props.reflexive:
-        out = semantics._constant_refute(ctx, f, ls)
+        out = semantics._constant_refute(ctx, m, f, ls)
         if out is not None:
             return out
     if cone_cluster and is_valid(S5, f):
@@ -806,7 +803,7 @@ def reference_monomodal(ctx, f, ls, d):
     if rt and (cone_cluster or directed):
         verdict = decide(S5 if cone_cluster else S4_2, f)
         if verdict.is_invalid and verdict.countermodel is not None:
-            cert = reference_family_cert(ctx, d)
+            cert = reference_family_cert(ctx, m, d)
             if cert is not None:
                 try:
                     sigma = simulate_countermodel(cert, f, verdict.countermodel)
@@ -817,19 +814,19 @@ def reference_monomodal(ctx, f, ls, d):
     return semantics.MlOutcome(None, how="unresolved")
 
 
-def reference_ml_status(ctx, f):
+def reference_ml_status(m, f):
     """ml_status's routes as they stood before the certified route asked one
     theory once: a monomodal branch of its own, and constant substitution
     called from both branches."""
     from bikripke.formula import Atom, Imp, directions
-    m = ctx.model
+    ctx = semantics._ml_context(m)
     if not letters(f):
         return semantics.MlOutcome(ctx.constant_mask(f) >> m.point & 1 == 1,
                                    how="closed formula")
     ls = tuple(sorted(letters(f)))
     if ctx.algebra is not None:
         try:
-            return semantics._sweep(ctx, f, ls)
+            return semantics._sweep(ctx, m, f, ls)
         except BudgetExceeded:
             pass
     if (len(ls) == 1 and isinstance(f, Imp) and isinstance(f.left, Atom)
@@ -840,14 +837,14 @@ def reference_ml_status(ctx, f):
             return semantics.MlOutcome(True, how="monotone rule")
     dirs = directions(f)
     if len(dirs) <= 1:
-        out = reference_monomodal(ctx, f, ls, next(iter(dirs)) if dirs else UP)
+        out = reference_monomodal(ctx, m, f, ls, next(iter(dirs)) if dirs else UP)
         if out.status is not None:
             return out
     elif m.frame.props.reflexive:
-        out = semantics._constant_refute(ctx, f, ls)
+        out = semantics._constant_refute(ctx, m, f, ls)
         if out is not None:
             return out
-    out = semantics._probe_refute(ctx, f, ls)
+    out = semantics._probe_refute(m, f, ls)
     if out is not None:
         return out
     return semantics.MlOutcome(None, how="unresolved")
@@ -856,8 +853,8 @@ def reference_ml_status(ctx, f):
 def same_as_reference(m, formulas):
     """(status, how, witness) of ml_status on m against the reference route
     on a copy of m, whose context is its own."""
-    ref = semantics._ml_context(PointedModel(m.frame, m.valuation, m.point))
-    ref.algebra = semantics._ml_context(m).algebra
+    ref = PointedModel(m.frame, m.valuation, m.point)
+    semantics._ml_context(ref).algebra = semantics._ml_context(m).algebra
     for f in formulas:
         got, want = ml_status(m, f), reference_ml_status(ref, f)
         assert (got.status, got.how, got.witness) == (want.status, want.how, want.witness), f
@@ -906,7 +903,7 @@ class TestOneCertifiedRoute:
                             lambda g: compiled.append(g) or compile_(g))
         f = parse(text)
         monkeypatch.setattr(theories, "_store", {})
-        want = reference_ml_status(semantics._ml_context(thm5_model()), f)
+        want = reference_ml_status(thm5_model(), f)
         assert len(compiled) == 2       # is_valid, then decide for the countermodel
         del compiled[:]
         monkeypatch.setattr(theories, "_store", {})
@@ -914,6 +911,87 @@ class TestOneCertifiedRoute:
         assert len(compiled) == 1
         assert got.how == "simulated countermodel"
         assert (got.status, got.how, got.witness) == (want.status, want.how, want.witness)
+
+
+def route_work(route):
+    """(a fresh model, its formulas) whose ml_status answers take route."""
+    from bikripke import cli
+    if route == "exact sweep":
+        return (combo_frame("cluster_below_bs", 2, 2, 1),
+                list(enumerate_formulas(2, 4, {UP, DOWN})))
+    if route == "simulated countermodel":
+        return cli.thm5_model(), list(enumerate_formulas(1, 5, {UP}))
+    if route == "single-world cone":
+        return cli.thm4_model(), list(enumerate_formulas(1, 5, {UP}))
+    return cli.thm4_model(), [parse(t) for t in ("<u>[u]true -> [d]false", "[d]<u>true",
+                                                  "~<d>[u]false | [u]<d>true")]
+
+
+class TestContextFreed:
+    """A model's context holds nothing that refers back to the model or to
+    the context, so reference counting alone frees it with the model: with
+    the cycle collector off, it is gone at `del m`."""
+
+    ROUTES = ["exact sweep", "simulated countermodel", "single-world cone",
+              "closed formula"]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_freed_at_del_without_collector(self, route):
+        import gc
+        import weakref
+        gc.disable()
+        try:
+            m, formulas = route_work(route)
+            assert route in {ml_status(m, f).how for f in formulas}
+            ctx = semantics._ml_context(m)
+            kept = [weakref.ref(ctx)]
+            if route == "simulated countermodel":
+                masks = ctx.control_masks[UP]
+                cert = next(c for c in masks.ladders.values() if c is not None)
+                assert cert.family.base is not m
+                kept += [weakref.ref(masks), weakref.ref(cert)]
+                del masks, cert
+            del m, ctx
+            assert all(ref() is None for ref in kept)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_memory_back_to_baseline(self, route):
+        import gc
+        import tracemalloc
+        from bikripke import theories
+
+        def run(formulas):
+            m = route_work(route)[0]
+            for f in formulas:
+                ml_status(m, f)
+            return semantics._ml_context(m).held
+
+        def empty_module_stores():
+            theories._store.clear()
+            for store in (theories._modal, theories._count_atoms, theories._s5_atoms):
+                store.cache_clear()
+
+        # The formulas stay alive, and the module-level stores (the verdict
+        # store and the block engine's memos) are emptied at both ends, so
+        # what a run leaves behind is the model's.
+        formulas = route_work(route)[1]
+        run(formulas)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            empty_module_stores()
+            before = tracemalloc.get_traced_memory()[0]
+            held = run(formulas)
+            empty_module_stores()
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held > 0
+        assert after - before < 256 << 10, (after - before, held)
 
 
 def _deep_formula(depth: int):
