@@ -385,8 +385,8 @@ class _Table:
     * ("sweep", letters): the exact sweep's values (_sweep_table);
     * ("pl", letters) and ("dead end", letters): PL truth tables, an int with
       a bit per assignment, assignment a giving letter i bit i of a as
-      theories._pl_verdict numbers them; box and diamond are the identity,
-      the PL collapse, or ⊤ and ⊥ at a dead end;
+      theories._search's one-world stage numbers them; box and diamond are
+      the identity, the PL collapse, or ⊤ and ⊥ at a dead end;
     * ("top", letters): world masks with those letters sent to ⊤ and the
       others to ⊥; ("top", ()) serves closed formulas."""
 

@@ -21,15 +21,17 @@ Validity is decided semantically against each theory's finite frame class:
 
 Invalid verdicts carry a countermodel found by the canonical search (frame
 size ascending, edge sets lexicographic, valuations lexicographic, points
-ascending) so reported countermodels are reproducible byte for byte.  A
-PL refutation is that search's first model in every theory, so an S4 or
-S4.2 countermodel question truth-tables PL first, and a refutation there
-needs neither the type space nor the search.  For a PL-valid formula the
-search counts the one-world models into its budget without running them.
+ascending) so reported countermodels are reproducible byte for byte.  One
+search, _search, serves all four theories.  Its one-world stage is PL's
+truth table; past one world it sweeps S5's colour subsets or the
+reflexive transitive (for S4.2 directed) frames.  PL decides the first
+stage for every theory, so it runs first and once per question: a PL
+refutation is every theory's countermodel, on the one world the theory
+names, and past a PL-valid (or over-budget) table the later stages count
+its models into their budget without running them again.
 
-Every decider compiles the formula once to a node list and runs it with
-_run.  The PL truth table, the S5 colour sweep and the countermodel search
-run a block of up to _BLOCK models of one n-world frame per _run, as n
+The formula is compiled once to a node list and run with _run.  The search
+runs a block of up to _BLOCK models of one n-world frame per _run, as n
 slices with one bit per model; the type space runs int columns over its
 rows, one bit per type.  The block engine (_index_column, _modal) also
 serves semantics' exact sweep, whose block is the a^k assignments of
@@ -353,7 +355,7 @@ def _refute(nodes: list[tuple], root: int, rows: tuple[int, ...], total: int,
 
     Returns (used, None) with the models counted into used when none
     refutes f, else (used, block) for the first block with a model that
-    does, as (failing worlds, m, atoms) for _first_refuted.  A block is cut
+    does, as (failing worlds, m, atoms) for _countermodel.  A block is cut
     to what remains of the budget; past it, raises
     BudgetExceeded(exceeded)."""
     n = len(rows)
@@ -373,54 +375,8 @@ def _refute(nodes: list[tuple], root: int, rows: tuple[int, ...], total: int,
     return used, None
 
 
-def _first_refuted(block, n: int) -> tuple[int, list[int]]:
-    """The first refuted model of a block of an n-world frame, from
-    _refute: its lowest failing world and its letters' world masks."""
-    fail, m, atoms = block
-    # The model is the lowest bit failing in any slice.  Above bit m the
-    # shifts leave parts of higher slices, but some bit below m is set.
-    first = 0
-    for w in range(n):
-        first |= fail >> w * m
-    s = (first & -first).bit_length() - 1
-    if n == 1:              # most countermodels: the bits themselves
-        return 0, [a >> s & 1 for a in atoms]
-    point = 0
-    while not fail >> point * m + s & 1:
-        point += 1
-    masks = []
-    for a in atoms:
-        a >>= s
-        mask = 0
-        for w in range(n):
-            mask |= (a >> w * m & 1) << w
-        masks.append(mask)
-    return point, masks
-
-
 # ---------------------------------------------------------------------------
-# PL
-# ---------------------------------------------------------------------------
-
-def _pl_verdict(compiled: _Compiled, want_cm: bool,
-                budget: int = SEARCH_BUDGET) -> Verdict:
-    """Truth-table the formula; raises BudgetExceeded past `budget`
-    assignments.  Assignment a gives letter i bit i of a."""
-    nodes, root, lets = compiled
-    k = len(lets)
-    _, block = _refute(nodes, root, (1,), 1 << k, _count_atoms, k,
-                       0, budget, "PL truth table exceeds {} assignments")
-    if block is None:
-        return _VALID
-    if not want_cm:
-        return _INVALID
-    _, masks = _first_refuted(block, 1)
-    return Verdict(INVALID, countermodel=PointedModel(
-        single_point(), dict(zip(lets, masks)), 0))
-
-
-# ---------------------------------------------------------------------------
-# S5
+# S5 colour subsets
 # ---------------------------------------------------------------------------
 
 def _subsets(pool: int, n: int, first: list[int]):
@@ -451,31 +407,6 @@ def _unrank(pool: int, n: int, r: int) -> list[int]:
         x += 1
     c.append(x + r)
     return c
-
-
-def _s5_verdict(compiled: _Compiled, want_cm: bool,
-                budget: int = SEARCH_BUDGET) -> Verdict:
-    """Sweep colour subsets; raises BudgetExceeded past `budget` of them."""
-    nodes, root, lets = compiled
-    k = len(lets)
-    ncolors = 1 << k
-    used = 0
-    # A universal model is determined up to duplicate worlds by its set of
-    # letter profiles; sweeping color subsets in ascending lexicographic
-    # order visits the canonical first countermodel of the full search.
-    # One node per distinct subformula, so len(nodes) == |sub(f)|.
-    for n in range(1, min(len(nodes) + 1, ncolors) + 1):
-        # One-colour clusters are PL's assignments.
-        used, block = _refute(nodes, root, ((1 << n) - 1,) * n, comb(ncolors, n),
-                              _count_atoms if n == 1 else _s5_atoms, k, used, budget,
-                              "S5 colour sweep exceeds {} models")
-        if block is not None:
-            if not want_cm:
-                return _INVALID
-            point, masks = _first_refuted(block, n)
-            return Verdict(INVALID, countermodel=PointedModel(
-                cluster(n), dict(zip(lets, masks)), point))
-    return _VALID
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +559,7 @@ def _s42_invalid(space) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Canonical countermodel search for S4 / S4.2
+# The canonical countermodel search: PL, S5, S4 and S4.2
 # ---------------------------------------------------------------------------
 
 _MAX_SEARCH_WORLDS = 5
@@ -673,30 +604,82 @@ def _edge_bitmap(rows: tuple[int, ...]) -> int:
     return bitmap
 
 
-def _search_countermodel(compiled: _Compiled, directed_only: bool, budget: int,
-                         pl_valid: bool = False) -> tuple[Optional[PointedModel], bool]:
-    """Canonical search: frame size ascending, edge bitmaps lexicographic,
-    valuations lexicographic (letter-major masks), points ascending.
-    Returns (countermodel or None, budget_exhausted).  The one-world models
-    are PL's assignments: for a PL-valid f they are counted, not run."""
+def _search(compiled: _Compiled, t: Theory, budget: int, used: int = 0):
+    """t's canonical countermodel search: frame size ascending, edge bitmaps
+    lexicographic, valuations lexicographic (letter-major masks), points
+    ascending.  Its one-world stage is PL's truth table, assignment a giving
+    letter i bit i of a.  Past one world come S5's clusters, by colour
+    subset, up to |sub(f)|+1 worlds, or the reflexive transitive frames
+    (directed for S4.2) up to _MAX_SEARCH_WORLDS; PL has none.
+
+    Returns (rows, block) for the first block with a refuted model, as
+    _refute gives it, or None when no model refutes f.  used is 0, or the
+    2^k one-world models once PL's truth table has run them or run out of
+    budget on them: the search then counts them without running them again.
+    Past `budget` models raises BudgetExceeded, in S5's words for S5 and in
+    PL's otherwise (the S4/S4.2 callers answer Unknown)."""
     nodes, root, lets = compiled
     k = len(lets)
-    used = 1 << k if pl_valid else 0
-    try:
-        for n in range(2 if pl_valid else 1, _MAX_SEARCH_WORLDS + 1):
-            # Valuation v gives letter i the world mask in bits i*n..i*n+n-1.
+    exceeded = ("S5 colour sweep exceeds {} models" if t is S5
+                else "PL truth table exceeds {} assignments")
+    if not used:
+        used, block = _refute(nodes, root, (1,), 1 << k, _count_atoms, k, 0,
+                              budget, exceeded)
+        if block is not None:
+            return (1,), block
+    elif used > budget:         # even with no stage past one world
+        raise BudgetExceeded(exceeded.format(budget))
+    if t is S5:
+        # A universal model is determined up to duplicate worlds by its set
+        # of letter profiles, so sweeping colour subsets in lexicographic
+        # order visits the canonical first countermodel of the full search.
+        # One node per distinct subformula, so len(nodes) == |sub(f)|.
+        for n in range(2, min(len(nodes) + 1, 1 << k) + 1):
+            rows = ((1 << n) - 1,) * n
+            used, block = _refute(nodes, root, rows, comb(1 << k, n), _s5_atoms, k,
+                                  used, budget, exceeded)
+            if block is not None:
+                return rows, block
+    elif t is not PL:
+        # Valuation v gives letter i the world mask in bits i*n..i*n+n-1.
+        for n in range(2, _MAX_SEARCH_WORLDS + 1):
             for rows, directed in _rt_frames(n):
-                if directed_only and not directed:
+                if t is S4_2 and not directed:
                     continue
                 used, block = _refute(nodes, root, rows, 1 << k * n, _count_atoms, k,
-                                      used, budget, "")
+                                      used, budget, exceeded)
                 if block is not None:
-                    point, masks = _first_refuted(block, n)
-                    return PointedModel(Frame(n, rows), dict(zip(lets, masks)),
-                                        point), False
-    except BudgetExceeded:
-        pass
-    return None, True
+                    return rows, block
+    return None
+
+
+def _countermodel(t: Theory, lets: list[str], rows: tuple[int, ...], block) -> Verdict:
+    """t's countermodel from _search's first refuted block of the frame whose
+    successor masks are rows: the block's first refuted model at its lowest
+    failing world, on the frame t names."""
+    fail, m, atoms = block
+    n = len(rows)
+    # The model is the lowest bit failing in any slice.  Above bit m the
+    # shifts leave parts of higher slices, but some bit below m is set.
+    first = 0
+    for w in range(n):
+        first |= fail >> w * m
+    s = (first & -first).bit_length() - 1
+    point = 0
+    if n == 1:              # most countermodels: the bits themselves
+        masks = [a >> s & 1 for a in atoms]
+    else:
+        while not fail >> point * m + s & 1:
+            point += 1
+        masks = []
+        for a in atoms:
+            a >>= s
+            mask = 0
+            for w in range(n):
+                mask |= (a >> w * m & 1) << w
+            masks.append(mask)
+    frame = single_point() if t is PL else cluster(n) if t is S5 else Frame(n, rows)
+    return Verdict(INVALID, countermodel=PointedModel(frame, dict(zip(lets, masks)), point))
 
 
 # ---------------------------------------------------------------------------
@@ -719,9 +702,11 @@ _BITS = tuple((t, _KNOWN[t], _HOLDS[t]) for t in Theory)
 # The deciders in the order they run, each with its known bit and the bits
 # of the theories that need it.
 # PL and S5 are cheap sweeps, and a refutation there settles everything
-# below.  S4.2 is settled, as far as it can be, by S5 (invalid there:
-# invalid) and S4 (valid there: valid) before its pattern elimination runs.
-_PLAN = ((PL, _KNOWN[PL], _KNOWN[PL]),
+# below.  PL's truth table is every search's one-world stage, so every
+# theory needs it.  S4.2 is settled, as far as it can be, by S5 (invalid
+# there: invalid) and S4 (valid there: valid) before its pattern
+# elimination runs.
+_PLAN = ((PL, _KNOWN[PL], _ALL),
          (S5, _KNOWN[S5], _KNOWN[S5] | _KNOWN[S4_2]),
          (S4, _KNOWN[S4], _KNOWN[S4] | _KNOWN[S4_2]),
          (S4_2, _KNOWN[S4_2], _KNOWN[S4_2]))
@@ -768,61 +753,50 @@ def _settle(g: Formula, rec: int, want: int,
     """Decide the theories in the mask `want` that rec leaves open for the
     oriented g, file the record under g and return it.  With cm_theory, also
     return (and file) that theory's countermodel verdict when g is invalid
-    there; for S4 and S4.2 PL goes first, whose refutation is the
-    countermodel.  The compiled nodes and the type space are built at most
-    once and dropped on return.
+    there.  PL goes first: its refutation is every theory's countermodel, on
+    the one world cm_theory names, and past it S5's sweep and the search
+    count its models without running them again.  The compiled nodes and
+    the type space are built at most once and dropped on return.
     """
     compiled = _compile(g)
-    space = None
-    cm: Optional[Verdict] = None
-    if (cm_theory is S4 or cm_theory is S4_2) and not rec & _KNOWN[PL]:
-        # Frame size ascends in every theory's canonical search, so a PL
-        # refutation is its first model: invalid everywhere, on the one
-        # world the search names, without a type space or a search.
-        try:
-            v = _pl_verdict(compiled, True, budget)
-        except BudgetExceeded:
-            pass                # as for a theory nobody asked for, below
-        else:
-            if v.countermodel is not None:
-                cm = Verdict(INVALID, countermodel=PointedModel(
-                    Frame(1, (1,)), v.countermodel.valuation, 0))
-            rec = _learn(rec, _KNOWN[PL], v.is_valid)
+    k = len(compiled[2])
+    # The one-world models the searches have counted, as _search's used.
+    used = 1 << k if rec & _HOLDS[PL] else 0
+    space = found = None
     for t, known, needed_by in _PLAN:
         if not want & needed_by or rec & known:
             continue
-        if t is PL or t is S5:
-            try:
-                v = (_pl_verdict if t is PL else _s5_verdict)(
-                    compiled, t is cm_theory, budget)
-            except BudgetExceeded:
-                if want & known:
-                    raise
-                continue        # S4.2 is settled without S5 below
-            if v.countermodel is not None:
-                cm = v
-            valid = v.is_valid
-        else:
+        if t is S4 or t is S4_2:
             if space is None:
                 space = _type_space(compiled)
             valid = not (_s4_invalid if t is S4 else _s42_invalid)(space)
+        else:
+            try:
+                refuted = _search(compiled, t, budget, used)
+            except BudgetExceeded:
+                if want & known:
+                    raise
+                used = 1 << k   # PL out of budget: the later stages raise at once
+                continue        # S4.2 is settled without S5 below
+            used = 1 << k       # PL valid: the later stages skip its models
+            if t is PL or t is cm_theory:
+                found = refuted
+            valid = refuted is None
         rec = _learn(rec, known, valid)
     _put(g, rec)
     if cm_theory is None or rec & _HOLDS[cm_theory]:
         return rec, None
-    if cm is None:
-        if cm_theory is PL:
-            cm = _pl_verdict(compiled, True, budget)
-        elif cm_theory is S5:
-            cm = _s5_verdict(compiled, True, budget)
-        else:
-            found, _ = _search_countermodel(compiled, cm_theory is S4_2, budget,
-                                            bool(rec & _HOLDS[PL]))
-            if found is None:
-                cm = Verdict(UNKNOWN, reason="refutable, but no countermodel within "
-                             f"{_MAX_SEARCH_WORLDS} worlds / {budget} models")
-            else:
-                cm = Verdict(INVALID, countermodel=found)
+    if found is None:
+        try:
+            found = _search(compiled, cm_theory, budget, used)
+        except BudgetExceeded:
+            if cm_theory is PL or cm_theory is S5:
+                raise
+    if found is None:           # out of budget, or of frames
+        cm = Verdict(UNKNOWN, reason="refutable, but no countermodel within "
+                     f"{_MAX_SEARCH_WORLDS} worlds / {budget} models")
+    else:
+        cm = _countermodel(cm_theory, compiled[2], *found)
     _put((g, cm_theory, budget), cm)
     return rec, cm
 
@@ -857,9 +831,11 @@ def decide(t: Theory, f: Formula, budget: int = SEARCH_BUDGET,
     """Sound and complete validity verdict over the theory's finite frame
     class, with a canonical countermodel on Invalid.  Unknown is returned
     only when a countermodel is requested but not found within the search
-    budget.  The budget also bounds the PL truth table, in assignments, and
-    the S5 colour sweep, in colour subsets: past it, deciding PL or S5 raises
-    BudgetExceeded, and S4.2 goes without S5's shortcut."""
+    budget or its frames.  The budget also bounds the PL truth table, in
+    assignments, and the S5 colour sweep, in colour subsets: past it,
+    deciding PL or S5 raises BudgetExceeded, and S4.2 goes without S5's
+    shortcut.  A PL refutation answers every theory, with or without a
+    countermodel."""
     try:
         g, _ = orient(f)
         rec, cm = _ask(g, _KNOWN[t], t if want_countermodel else None, budget)

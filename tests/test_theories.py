@@ -9,9 +9,12 @@ from bikripke.errors import SEARCH_BUDGET, BudgetExceeded, MixedDirections
 from bikripke.formula import (
     DOWN,
     UP,
+    And,
     Atom,
     Box,
     Dia,
+    Imp,
+    Or,
     enumerate_formulas,
     letters,
     parse,
@@ -21,11 +24,13 @@ from bikripke import theories
 from bikripke.frame import PointedModel, dumps, single_point
 from bikripke.semantics import eval_mask, holds_at, ml_fragment
 from bikripke.theories import (
+    INVALID,
     PL,
     S4,
     S4_2,
     S5,
     Theory,
+    VALID,
     axioms,
     classify,
     decide,
@@ -352,10 +357,8 @@ def _fresh_valid(t, f) -> bool:
     """One theory's verdict straight from its decider: no store, no chain."""
     g, _ = theories.orient(f)
     compiled = theories._compile(g)
-    if t is PL:
-        return theories._pl_verdict(compiled, False).is_valid
-    if t is S5:
-        return theories._s5_verdict(compiled, False).is_valid
+    if t is PL or t is S5:
+        return theories._search(compiled, t, SEARCH_BUDGET) is None
     space = theories._type_space(compiled)
     return not (theories._s4_invalid if t is S4 else theories._s42_invalid)(space)
 
@@ -513,9 +516,87 @@ class TestCanonicalCountermodels:
         # the one-world frame the search names.
         def unused(*args):
             raise AssertionError("a PL refutation settles S4 and S4.2")
+        refute = theories._refute
+
+        def one_world(nodes, root, rows, *rest):
+            if rows != (1,):
+                unused()
+            return refute(nodes, root, rows, *rest)
         monkeypatch.setattr(theories, "_type_space", unused)
-        monkeypatch.setattr(theories, "_search_countermodel", unused)
+        monkeypatch.setattr(theories, "_refute", one_world)
         assert dumps(decide(t, parse(text)).countermodel) == want
+
+
+# [u]p0 & ... & [u]p11 & <u>q0 & ... & <u>q11: refuted by the first PL
+# assignment, but its type space has 48 free nodes, past the 22 allowed.
+WIDE = parse(" & ".join([f"[u]p{i}" for i in range(12)] +
+                        [f"<u>q{i}" for i in range(12)]))
+
+
+def _answer(t, f, want_countermodel, budget=SEARCH_BUDGET):
+    """decide's status, with Unknown read as the invalid verdict it is, or
+    the BudgetExceeded text."""
+    try:
+        v = decide(t, f, budget, want_countermodel)
+    except BudgetExceeded as e:
+        return str(e)
+    return VALID if v.is_valid else INVALID
+
+
+class TestOneSearch:
+    """PL's truth table is every theory's one-world stage: asked first, run
+    at most once per question, with or without a countermodel."""
+
+    @pytest.mark.parametrize("t", [S4, S4_2])
+    def test_verdict_only_answers_agree_with_countermodel_answers(self, t, monkeypatch):
+        for ask in (lambda: decide(t, WIDE).status,
+                    lambda: decide(t, WIDE, want_countermodel=False).status,
+                    lambda: VALID if is_valid(t, WIDE) else INVALID):
+            monkeypatch.setattr(theories, "_store", {})
+            assert ask() == INVALID
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 16), st.integers(1, 12))
+    def test_verdict_only_status_equals_countermodel_status(self, seed, k, parts):
+        # Either call order, each on a fresh store.  Joining parts gives
+        # wide formulas too; a small budget makes the sweeps run out on many
+        # letters.  Types of at most 14 free nodes, or past the 22 allowed.
+        rng = random.Random(seed)
+        f = random_formula(rng, 12, letters=k, dirs=(UP,))
+        for _ in range(parts - 1):
+            f = rng.choice([And, Or, Imp])(f, random_formula(rng, 12, letters=k, dirs=(UP,)))
+        width = _width(theories._compile(f))
+        assume(width <= 14 or width > 22)
+        for t in Theory:
+            answers = []
+            for order in ((False, True), (True, False)):
+                theories._store.clear()
+                answers += [_answer(t, f, cm, 2000) for cm in order]
+            assert len(set(answers)) == 1, (t, f, answers)
+
+    def test_one_world_models_run_once_per_question(self, empty_store, monkeypatch):
+        # PL-valid and S4.2-invalid: PL, S5's shortcut and the S4.2 search
+        # each need the two one-world models, which run once.
+        blocks = []
+        refute = theories._refute
+
+        def spy(nodes, root, rows, *rest):
+            blocks.append(rows)
+            return refute(nodes, root, rows, *rest)
+        monkeypatch.setattr(theories, "_refute", spy)
+        assert decide(S4_2, parse("<u>[u]p0 -> p0")).is_invalid
+        assert blocks.count((1,)) == 1
+
+    def test_frames_exhausted_means_unknown(self, monkeypatch):
+        f = parse("<u>[u]p -> p")
+        monkeypatch.setattr(theories, "_MAX_SEARCH_WORLDS", 1)
+        monkeypatch.setattr(theories, "_store", {})
+        v = decide(S4, f)
+        assert v.is_unknown
+        assert v.reason.endswith(f"within 1 worlds / {SEARCH_BUDGET} models")
+        monkeypatch.setattr(theories, "_MAX_SEARCH_WORLDS", 2)
+        monkeypatch.setattr(theories, "_store", {})
+        assert decide(S4, f).countermodel.frame.n == 2
 
 
 class TestResourceBounds:
@@ -812,16 +893,31 @@ def _or_exceeded(run):
         return ("exceeded", str(e))
 
 
+def _searched(compiled, t, budget, used=0):
+    """The one search's countermodel for t, or None when it finds none."""
+    found = theories._search(compiled, t, budget, used)
+    return None if found is None else \
+        theories._countermodel(t, compiled[2], *found).countermodel
+
+
+def _s4_searched(compiled, t, budget, used=0):
+    """(countermodel, exhausted) of an S4 or S4.2 search, dumped: exhausted
+    when it ran out of budget or of frames."""
+    try:
+        cm = _searched(compiled, t, budget, used)
+    except BudgetExceeded:
+        cm = None
+    return _dumped(cm), cm is None
+
+
 def block_answers(f, budget, search=True):
     """PL and S5 countermodels (None when valid) or BudgetExceeded, and the
     S4 and S4.2 searches' (countermodel, exhausted), all dumped."""
     compiled = theories._compile(theories.orient(f)[0])
-    out = [_or_exceeded(lambda: _dumped(decider(compiled, True, budget).countermodel))
-           for decider in (theories._pl_verdict, theories._s5_verdict)]
+    out = [_or_exceeded(lambda: _dumped(_searched(compiled, t, budget)))
+           for t in (PL, S5)]
     if search:
-        for directed in (False, True):
-            cm, spent = theories._search_countermodel(compiled, directed, budget)
-            out.append((_dumped(cm), spent))
+        out += [_s4_searched(compiled, t, budget) for t in (S4, S4_2)]
     return out
 
 
@@ -853,15 +949,15 @@ class TestBlocksAgainstReference:
         # frame, so the budgets cut the search at every model up to 40.
         for f in enumerate_formulas(1, 4, {UP}):
             compiled = theories._compile(f)
-            if not theories._pl_verdict(compiled, False).is_valid:
+            if theories._search(compiled, PL, SEARCH_BUDGET) is not None:
                 continue
+            used = 1 << len(compiled[2])
             for budget in range(1, 41):
-                for directed in (False, True):
-                    got, got_spent = theories._search_countermodel(
-                        compiled, directed, budget, True)
-                    want, want_spent = theories._search_countermodel(
-                        compiled, directed, budget)
-                    assert (_dumped(got), got_spent) == (_dumped(want), want_spent), f
+                for t in (S4, S4_2):
+                    assert _s4_searched(compiled, t, budget, used) == \
+                        _s4_searched(compiled, t, budget), f
+                assert _or_exceeded(lambda: _dumped(_searched(compiled, S5, budget, used))) \
+                    == _or_exceeded(lambda: _dumped(_searched(compiled, S5, budget))), f
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32), st.sampled_from([3, 4]), st.integers(1, 7000))
