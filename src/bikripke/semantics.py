@@ -262,29 +262,27 @@ class DefinableAlgebra:
 
 
 def _cells(m: PointedModel, gens: Sequence[str], most: int) -> list[int] | None:
-    """Coarsest partition of the worlds stable under the profiles of the
-    sorted letters gens and one-step reachability in both directions, cells
-    as ascending masks; or None as soon as there are more than `most` cells:
-    refinement only splits cells, so their count never falls."""
-    n = m.frame.n
-    profile = [tuple((m.valuation.get(l, 0) >> w) & 1 for l in gens) for w in range(n)]
-    ids: dict[tuple, int] = {}
-    cell = [ids.setdefault(profile[w], len(ids)) for w in range(n)]
-    while len(ids) <= most:
-        sigs: dict[tuple, int] = {}
-        new_cell = []
-        for w in range(n):
-            up_seen = frozenset(cell[v] for v in WorldSet(n, m.frame.up_masks[w]))
-            down_seen = frozenset(cell[v] for v in WorldSet(n, m.frame.down_masks[w]))
-            sig = (cell[w], up_seen, down_seen)
-            new_cell.append(sigs.setdefault(sig, len(sigs)))
-        if new_cell == cell:
-            masks: dict[int, int] = {}
-            for w, c in enumerate(cell):
-                masks[c] = masks.get(c, 0) | (1 << w)
-            return sorted(masks.values())
-        cell, ids = new_cell, sigs
-    return None
+    """Coarsest partition of the worlds that no letter of gens splits and
+    that is stable under one step in both directions, as ascending masks; or
+    None as soon as there are more than `most` cells.  Naive partition
+    refinement (Kanellakis–Smolka 1990), by each cell's preimages, until a
+    pass splits nothing; a splitter that has since split is a union of
+    current cells, so still sound.  Splitting never merges, so the count is
+    checked as it grows, first before the n^2-step converse is read."""
+    frame = m.frame
+    split = lambda cells, by: [part for c in cells for part in (c & by, c & ~by) if part]
+    cells = [(1 << frame.n) - 1]
+    for l in gens:
+        cells = split(cells, m.valuation.get(l, 0))
+    count = 0
+    while count < len(cells) <= most:
+        count = len(cells)
+        for c in list(cells):               # the cells at the pass's start
+            cells = split(split(cells, _image(frame.down_masks, c)),
+                          _image(frame.up_masks, c))
+            if len(cells) > most:
+                return None
+    return sorted(cells) if count == len(cells) else None
 
 
 def definable_algebra(m: PointedModel, letters: Iterable[str] | None = None,
@@ -292,7 +290,7 @@ def definable_algebra(m: PointedModel, letters: Iterable[str] | None = None,
     """Least family containing the generators, closed under complement,
     intersection and both box preimages.  Raises BudgetExceeded when the
     closure has more than `budget` sets, as soon as the cell refinement
-    passes that many.
+    passes that many, so letters alone past it never build the converse.
 
     Set j is the union of the cells at the set bits of j.  The cells are
     disjoint and ascending, so cell i's highest world lies above every world

@@ -595,13 +595,8 @@ def _rt_frames(n: int) -> tuple[tuple[tuple[int, ...], bool], ...]:
 
 
 def _edge_bitmap(rows: tuple[int, ...]) -> int:
-    n = len(rows)
-    bitmap = 0
-    for i, row in enumerate(rows):
-        for j in range(n):
-            if (row >> j) & 1:
-                bitmap |= 1 << (i * n + j)
-    return bitmap
+    # Each row has only bits below n, so the rows do not overlap.
+    return sum(row << i * len(rows) for i, row in enumerate(rows))
 
 
 def _search(compiled: _Compiled, t: Theory, budget: int, used: int = 0):
@@ -666,18 +661,15 @@ def _countermodel(t: Theory, lets: list[str], rows: tuple[int, ...], block) -> V
         first |= fail >> w * m
     s = (first & -first).bit_length() - 1
     point = 0
-    if n == 1:              # most countermodels: the bits themselves
-        masks = [a >> s & 1 for a in atoms]
-    else:
-        while not fail >> point * m + s & 1:
-            point += 1
-        masks = []
-        for a in atoms:
-            a >>= s
-            mask = 0
-            for w in range(n):
-                mask |= (a >> w * m & 1) << w
-            masks.append(mask)
+    while not fail >> point * m + s & 1:
+        point += 1
+    masks = []
+    for a in atoms:
+        a >>= s
+        mask = 0
+        for w in range(n):
+            mask |= (a >> w * m & 1) << w
+        masks.append(mask)
     frame = single_point() if t is PL else cluster(n) if t is S5 else Frame(n, rows)
     return Verdict(INVALID, countermodel=PointedModel(frame, dict(zip(lets, masks)), point))
 

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -406,6 +407,26 @@ class TestExperimentCommand:
         strip = lambda p: [l for l in p.read_text().splitlines()
                            if not l.startswith("elapsed_ms=")]
         assert strip(a) == strip(b)
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    # Set and dict orders of strings change with PYTHONHASHSEED, so any that
+    # reached a report would make two processes print different bytes.
+    model = tmp_path / "thm5.model"
+    cli = [sys.executable, "-m", "bikripke.cli"]
+    subprocess.run([*cli, "gen", "--kind", "powerset", "--buttons", "2", "--classes", "3:3",
+                    "--point", "0,1,3,4,6,7", "-o", str(model)], check=True, capture_output=True)
+    for argv in (["ml", "--frame", str(model), "--direction", "both", "--letters", "1",
+                  "--size", "4"],
+                 ["experiment", "thm8"]):
+        outs = []
+        for seed in ("1", "2"):
+            proc = subprocess.run([*cli, *argv], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONHASHSEED": seed})
+            assert proc.returncode == 0, proc.stderr
+            outs.append([l for l in proc.stdout.splitlines() if not l.startswith("elapsed_ms=")])
+        assert outs[0] == outs[1]
+        assert len(outs[0]) > 5
 
 
 def test_console_entry_point():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bikripke import semantics
+from bikripke import cli, semantics
 from bikripke.errors import BadWorldIndex, BudgetExceeded
 from bikripke.formula import (DOWN, UP, Bot, Box, Top, enumerate_formulas, letters, parse,
                               substitute)
@@ -155,6 +155,80 @@ class TestDefinableAlgebra:
             assert 0 in masks and (1 << m.frame.n) - 1 in masks
             for l in m.letters():
                 assert m.valuation[l] in masks
+
+
+def ref_cells(m, gens, most):
+    """Reference refinement: every round gives each world the signature of
+    its own cell and its successor cells in both directions, until no
+    signature splits a cell; None once there are more than `most` cells."""
+    n = m.frame.n
+    profile = [tuple((m.valuation.get(l, 0) >> w) & 1 for l in gens) for w in range(n)]
+    ids: dict[tuple, int] = {}
+    cell = [ids.setdefault(profile[w], len(ids)) for w in range(n)]
+    while len(ids) <= most:
+        sigs: dict[tuple, int] = {}
+        new_cell = []
+        for w in range(n):
+            up_seen = frozenset(cell[v] for v in WorldSet(n, m.frame.up_masks[w]))
+            down_seen = frozenset(cell[v] for v in WorldSet(n, m.frame.down_masks[w]))
+            sig = (cell[w], up_seen, down_seen)
+            new_cell.append(sigs.setdefault(sig, len(sigs)))
+        if new_cell == cell:
+            masks: dict[int, int] = {}
+            for w, c in enumerate(cell):
+                masks[c] = masks.get(c, 0) | (1 << w)
+            return sorted(masks.values())
+        cell, ids = new_cell, sigs
+    return None
+
+
+@st.composite
+def _closed_model(draw):
+    n = draw(st.integers(1, 24))
+    rows = [draw(st.integers(0, (1 << n) - 1)) for _ in range(n)]
+    close = draw(st.sampled_from([set(), {"reflexive"}, {"transitive"},
+                                  {"reflexive", "transitive"}]))
+    frame = make_frame(n, [(i, j) for i in range(n) for j in range(n) if rows[i] >> j & 1],
+                       close)
+    k = draw(st.integers(0, 3))
+    return PointedModel(frame, {f"p{i}": draw(st.integers(0, (1 << n) - 1))
+                                for i in range(k)}, 0)
+
+
+def _pinned_models():
+    yield from cli.corpus()
+    yield "thm4", cli.thm4_model()
+    yield "thm5", cli.thm5_model()
+    for kind in ("cluster_below_bs", "cluster_above_bs"):
+        yield kind, combo_frame(kind, 2, 2, 1)
+
+
+class TestCells:
+    @settings(max_examples=300, deadline=None)
+    @given(_closed_model(), st.one_of(st.integers(0, 20), st.just(60)))
+    def test_equals_reference(self, m, most):
+        gens = m.letters()
+        assert semantics._cells(m, gens, most) == ref_cells(m, gens, most)
+
+    @pytest.mark.parametrize("name, m", list(_pinned_models()),
+                             ids=[name for name, _ in _pinned_models()])
+    def test_pinned_models_equal_reference(self, name, m):
+        for most in (4, 16, 60, 300):
+            gens = m.letters()
+            assert semantics._cells(m, gens, most) == ref_cells(m, gens, most)
+
+    def test_large_cluster_within_time_bound(self):
+        # 16 cells of 128 worlds, told apart by p0-p3, the low bits of the
+        # world; the converse is built before timing.
+        n = 2048
+        val = {f"p{i}": sum(1 << w for w in range(n) if w >> i & 1) for i in range(4)}
+        m = PointedModel(cluster(n), val, 0)
+        m.frame.down_masks
+        start = time.perf_counter()
+        alg = definable_algebra(m)
+        assert time.perf_counter() - start < 0.5
+        assert alg.cells == tuple(sorted(
+            sum(1 << w for w in range(n) if w % 16 == r) for r in range(16)))
 
 
 class TestMlMember:

@@ -231,6 +231,24 @@ def _edge_key(rows):
     return sum(1 << (i * n + j) for i in range(n) for j in range(n) if rows[i] >> j & 1)
 
 
+def ref_edge_bitmap(rows):
+    """The search's edge order as a bit-by-bit loop: edge (i, j) is bit
+    i * n + j."""
+    n = len(rows)
+    bitmap = 0
+    for i, row in enumerate(rows):
+        for j in range(n):
+            if (row >> j) & 1:
+                bitmap |= 1 << (i * n + j)
+    return bitmap
+
+
+@st.composite
+def _rows(draw):
+    n = draw(st.integers(1, 12))
+    return tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(n))
+
+
 def _cones_directed(rows):
     """Every two worlds of a cone see a common world (one step suffices on
     a reflexive transitive frame)."""
@@ -246,6 +264,11 @@ class TestSearchFrames:
         want = sorted(((fr.up_masks, fr.props.up_directed) for fr in _all_rt_frames(n)),
                       key=lambda item: _edge_key(item[0]))
         assert list(theories._rt_frames(n)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(_rows())
+    def test_edge_bitmap_equals_loop(self, rows):
+        assert theories._edge_bitmap(rows) == ref_edge_bitmap(rows)
 
     def test_five_worlds_are_every_preorder_once(self):
         frames = theories._rt_frames(5)
